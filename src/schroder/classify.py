@@ -12,6 +12,7 @@ All arithmetic is exact.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -25,7 +26,7 @@ from .combinatorics import (
     canonical_code,
     canonical_form,
     dissection_to_tree,
-    enumerate_dissections,
+    dissection_trees,
     riordan_table,
     tree_to_dissection,
 )
@@ -45,33 +46,49 @@ def variety_isomorphic(d1: Dissection, d2: Dissection) -> bool:
     )
 
 
+def _group(trees) -> dict[bytes, list[SchroederTree]]:
+    """Trees by canonical code; groups and their members in input order."""
+    groups: dict[bytes, list[SchroederTree]] = {}
+    for tree in trees:
+        groups.setdefault(canonical_code(tree), []).append(tree)
+    return groups
+
+
+def classes(n: int, k: int | None = None) -> dict[bytes, list[SchroederTree]]:
+    """Variety classes of the dissections of P_{n+2}, optionally with k cells.
+
+    Keyed by canonical code; each class lists its trees in dissection_trees order.
+    """
+    return _group(dissection_trees(n, k))
+
+
 def count_classes(n: int, k: int | None = None) -> int:
     """Number of isomorphism classes of varieties from dissections of P_{n+2}.
 
     Counts distinct canonical codes and cross-checks the total against the
     coefficient table of the generating-function recurrence.
     """
-    codes: dict[int, set[bytes]] = {}
-    for d in enumerate_dissections(n, k):
-        codes.setdefault(d.k, set()).add(canonical_code(dissection_to_tree(d)))
+    per_cells = Counter(group[0].internal_count for group in classes(n, k).values())
     table = riordan_table(n + 1)
-    for cells, seen in codes.items():
-        if len(seen) != table.s(n + 1, cells):
+    for cells, count in per_cells.items():
+        if count != table.s(n + 1, cells):
             raise InternalError(
                 f"code count for n={n}, k={cells} disagrees with the recurrence"
             )
-    return sum(len(seen) for seen in codes.values())
+    return sum(per_cells.values())
 
 
-def _rightmost_leaf_count(tree: SchroederTree) -> int:
-    """Internal vertices whose rightmost child is a leaf.
+def _bottoms(tree: SchroederTree) -> frozenset[int]:
+    """Preorder indices of the internal vertices whose rightmost child is a leaf.
 
     On a canonically embedded tree these are exactly the internal vertices
     all of whose children are leaves, and their generators are the ones
     whose staircase power already vanishes.
     """
-    return sum(
-        1 for v in tree.internal_preorder() if tree.is_leaf(v + (tree.arity(v) - 1,))
+    return frozenset(
+        i
+        for i, v in enumerate(tree.internal_preorder())
+        if tree.is_leaf(v + (tree.arity(v) - 1,))
     )
 
 
@@ -248,7 +265,7 @@ def _tree_fingerprint(tree: SchroederTree, bound: int | None) -> Fingerprint:
         hilbert=hilbert_series(ring),
         profile=tuple(sorted(counts.items())),
         vanishing_rank=rank(vanishing),
-        l_size=_rightmost_leaf_count(tree),
+        l_size=len(_bottoms(tree)),
     )
     _fingerprint_cache[key] = fp
     return fp
@@ -428,19 +445,20 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
     if not (k <= 3 or k == n):
         raise ValueError("classification is checked for k <= 3 or k = n")
     failures = []
-    classes: dict[bytes, list[Dissection]] = {}
-    for d in enumerate_dissections(n, k):
-        classes.setdefault(canonical_code(dissection_to_tree(d)), []).append(d)
-
+    groups = classes(n, k)
     expected = riordan_table(n + 1).s(n + 1, k)
-    if len(classes) != expected:
+    if len(groups) != expected:
         failures.append(
-            f"found {len(classes)} classes, recurrence table gives {expected}"
+            f"found {len(groups)} classes, recurrence table gives {expected}"
         )
 
-    members = sorted(classes.values(), key=lambda group: group[0].diagonals)
-    prints = [fingerprint(group[0]) for group in members]
-    for i, group in enumerate(members):
+    # (dissections, first tree) per class, ordered by first dissection.
+    members = sorted(
+        (([tree_to_dissection(t) for t in trees], trees[0]) for trees in groups.values()),
+        key=lambda member: member[0][0].diagonals,
+    )
+    prints = [fingerprint(group[0]) for group, _ in members]
+    for i, (group, _) in enumerate(members):
         for d in group[1:]:
             if fingerprint(d) != prints[i]:
                 failures.append(
@@ -451,13 +469,13 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
             if prints[i] == prints[j]:
                 failures.append(
                     "fingerprints collide across classes: "
-                    f"{group[0].diagonals} vs {members[j][0].diagonals}"
+                    f"{group[0].diagonals} vs {members[j][0][0].diagonals}"
                 )
 
     searches = 0
     if gl_bound is not None:
-        for group in members:
-            rep = tree_to_dissection(canonical_form(dissection_to_tree(group[0])))
+        for group, first in members:
+            rep = tree_to_dissection(canonical_form(first))
             for d in group:
                 verdict = cohomology_isomorphic_bounded(rep, d, gl_bound)
                 searches += 1
@@ -469,9 +487,9 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
     return TheoremOneReport(
         n=n,
         k=k,
-        class_count=len(classes),
+        class_count=len(groups),
         expected_count=expected,
-        dissection_count=sum(len(ds) for ds in members),
+        dissection_count=sum(len(group) for group, _ in members),
         searches=searches,
         failures=tuple(failures),
     )
@@ -552,21 +570,14 @@ def verify_prop_further(
     if n_max is not None and n > n_max:
         raise ValueError(f"n = {n} exceeds the requested budget {n_max}")
 
-    seen: dict[bytes, SchroederTree] = {}
-    for shape in _uniform_shapes(ell, internal):
-        tree = canonical_form(SchroederTree(shape))
-        seen.setdefault(canonical_code(tree), tree)
-    trees = [seen[code] for code in sorted(seen)]
+    groups = _group(SchroederTree(shape) for shape in _uniform_shapes(ell, internal))
+    trees = [canonical_form(groups[code][0]) for code in sorted(groups)]
 
     failures = []
     data = []
     for tree in trees:
         ring = schroeder_presentation(tree)
-        bottoms = frozenset(
-            i
-            for i, v in enumerate(tree.internal_preorder())
-            if tree.is_leaf(v + (tree.arity(v) - 1,))
-        )
+        bottoms = _bottoms(tree)
         vectors = _primitive_vectors(ring.k, ell)
         powers = dict(zip(vectors, _nilpotency_table(ring, vectors)))
         for i in range(ring.k):

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .classify import cohomology_isomorphic_bounded, verify_theorem1
+from .classify import classes, cohomology_isomorphic_bounded, verify_theorem1
 from .cohomology import schroeder_presentation
 from .combinatorics import (
     Dissection,
-    canonical_code,
     canonical_form,
     dissection_to_tree,
-    enumerate_dissections,
+    dissection_trees,
     kirkman_cayley,
     riordan_table,
     tree_to_dissection,
@@ -60,11 +58,12 @@ def _load_dissection(path: str) -> Dissection:
 def cmd_enumerate(args) -> int:
     lines = []
     count = 0
-    for d in enumerate_dissections(args.n, args.k):
+    for tree in dissection_trees(args.n, args.k):
+        d = tree_to_dissection(tree)
         record = {
             "n": d.n,
             "diagonals": [list(e) for e in d.diagonals],
-            "tree": dissection_to_tree(d).to_json(),
+            "tree": tree.to_json(),
         }
         lines.append(json.dumps(record, sort_keys=True))
         count += 1
@@ -107,11 +106,10 @@ def cmd_iso(args) -> int:
 
 
 def _class_table(n: int, k: int) -> dict:
-    classes: dict[bytes, Dissection] = {}
-    for d in enumerate_dissections(n, k):
-        tree = dissection_to_tree(d)
-        classes.setdefault(canonical_code(tree), tree_to_dissection(canonical_form(tree)))
-    reps = sorted(d.diagonals for d in classes.values())
+    reps = sorted(
+        tree_to_dissection(canonical_form(group[0])).diagonals
+        for group in classes(n, k).values()
+    )
     return {
         "k": k,
         "count": len(reps),
@@ -194,19 +192,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("SCHRODER_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print(
-            f"SCHRODER_THREADS must be a positive integer, got {threads!r}",
-            file=sys.stderr,
-        )
-        return 2
     args = _build_parser().parse_args(argv)
     if getattr(args, "n", 1) < 1:
         print("--n must be at least 1", file=sys.stderr)
         return 2
-    if getattr(args, "k", None) is not None and args.k < 1:
-        print("--k must be at least 1", file=sys.stderr)
+    if getattr(args, "k", None) is not None and not 1 <= args.k <= args.n:
+        print(f"--k must be in 1..{args.n} (the value of --n)", file=sys.stderr)
         return 2
     if getattr(args, "bound", None) is not None and args.bound < 0:
         print("--bound must be nonnegative", file=sys.stderr)

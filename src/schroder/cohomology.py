@@ -11,10 +11,11 @@ linear relations.  The two outputs are compared term by term in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .combinatorics import Edge, Path, SchroederTree, phi_labels
 from .errors import InternalError
-from .fan import Fan
+from .fan import Fan, check_primitive
 from .polyring import IntPolynomial, RingPresentation, hilbert_series
 
 
@@ -65,12 +66,41 @@ class SchroederPresentation(RingPresentation):
 
 
 def _gen_data(tree: SchroederTree):
+    """Labels, internal vertices, generators and their index, and ``lam(v)``:
+    the memoised sum of the generators named by descendant_set(tree, v)."""
     labels = phi_labels(tree)
     internal = tuple(tree.internal_preorder())
     if not internal:
         raise ValueError("a tree with no internal vertex presents no ring")
     gen_labels = tuple(labels[p + (tree.arity(p) - 1,)] for p in internal)
-    return labels, internal, gen_labels
+    gen_index = {lab: i for i, lab in enumerate(gen_labels)}
+
+    @cache
+    def lam(v: Path) -> tuple[int, ...]:
+        vec = [0] * len(internal)
+        for u in _matching_descendants(tree, labels, v):
+            vec[gen_index[labels[u]]] += 1
+        return tuple(vec)
+
+    return labels, internal, gen_labels, gen_index, lam
+
+
+def _presentation(tree: SchroederTree, internal, gen_labels, factors):
+    """Multiply out each relation's linear factors; attach the vertex data."""
+    relations = []
+    for vecs in factors:
+        poly = IntPolynomial.constant(len(internal), 1)
+        for vec in vecs:
+            poly = poly * IntPolynomial.linear(vec)
+        relations.append(poly)
+    return SchroederPresentation(
+        gens=tuple(f"x{a}_{b}" for a, b in gen_labels),
+        relations=tuple(relations),
+        staircase=tuple(tree.arity(p) for p in internal),
+        vertices=internal,
+        labels=gen_labels,
+        factors=tuple(tuple(vecs) for vecs in factors),
+    )
 
 
 def schroeder_presentation(tree: SchroederTree) -> SchroederPresentation:
@@ -81,38 +111,16 @@ def schroeder_presentation(tree: SchroederTree) -> SchroederPresentation:
     over w_j.  Expanded, it carries the generator's l-th power with
     coefficient +1, which is what staircase reduction needs.
     """
-    labels, internal, gen_labels = _gen_data(tree)
+    _, internal, gen_labels, _, lam = _gen_data(tree)
     k = len(internal)
-    gen_index = {lab: i for i, lab in enumerate(gen_labels)}
-
-    def lam(v: Path) -> tuple[int, ...]:
-        vec = [0] * k
-        for u in _matching_descendants(tree, labels, v):
-            vec[gen_index[labels[u]]] += 1
-        return tuple(vec)
-
-    relations = []
     factors = []
     for i, p in enumerate(internal):
-        ell = tree.arity(p)
         top = lam(p)
         vecs = [tuple(1 if t == i else 0 for t in range(k))]
-        for j in range(ell - 1):
-            down = lam(p + (j,))
-            vecs.append(tuple(a - b for a, b in zip(top, down)))
-        poly = IntPolynomial.constant(k, 1)
-        for vec in vecs:
-            poly = poly * IntPolynomial.linear(vec)
-        relations.append(poly)
-        factors.append(tuple(vecs))
-    return SchroederPresentation(
-        gens=tuple(f"x{a}_{b}" for a, b in gen_labels),
-        relations=tuple(relations),
-        staircase=tuple(tree.arity(p) for p in internal),
-        vertices=internal,
-        labels=gen_labels,
-        factors=tuple(factors),
-    )
+        for j in range(tree.arity(p) - 1):
+            vecs.append(tuple(a - b for a, b in zip(top, lam(p + (j,)))))
+        factors.append(vecs)
+    return _presentation(tree, internal, gen_labels, factors)
 
 
 @dataclass(frozen=True)
@@ -156,9 +164,8 @@ def dj_presentation(f: Fan) -> DJPresentation:
 
     Primitive collections are recovered from the maximal cones: two rays
     belong to the same collection exactly when no maximal cone omits both.
-    The resulting classes are verified against the definition (the class is
-    not inside any cone, dropping any element lands inside one) before they
-    are returned.
+    The resulting classes are verified with check_primitive before they are
+    returned.
     """
     m = len(f.rays)
     universe = frozenset(range(m))
@@ -180,14 +187,7 @@ def dj_presentation(f: Fan) -> DJPresentation:
             owner[j] = len(classes)
         classes.append(tuple(cls))
     for cls in classes:
-        c = frozenset(cls)
-        if any(c <= cone for cone in f.max_cones):
-            raise InternalError(f"collection {sorted(c)} lies inside a maximal cone")
-        for x in c:
-            if not any(c - {x} <= cone for cone in f.max_cones):
-                raise InternalError(
-                    f"dropping ray {x} from {sorted(c)} leaves a non-cone"
-                )
+        check_primitive(frozenset(cls), f.max_cones)
     linear = tuple(
         IntPolynomial.linear([f.rays[i][d] for i in range(m)]) for d in range(f.n)
     )
@@ -203,20 +203,9 @@ def eliminate(dj: DJPresentation, tree: SchroederTree) -> SchroederPresentation:
     each monomial relation, matched to its cell through the child labels,
     becomes one relation of the tree presentation.
     """
-    labels, internal, gen_labels = _gen_data(tree)
+    labels, internal, gen_labels, gen_index, lam = _gen_data(tree)
     k = len(internal)
-    gen_index = {lab: i for i, lab in enumerate(gen_labels)}
     vertex_by_label = {labels[p]: p for p in tree.preorder() if p != ()}
-
-    lam_cache: dict[Path, list[int]] = {}
-
-    def lam(v: Path) -> list[int]:
-        if v not in lam_cache:
-            vec = [0] * k
-            for u in _matching_descendants(tree, labels, v):
-                vec[gen_index[labels[u]]] += 1
-            lam_cache[v] = vec
-        return lam_cache[v]
 
     substitution: dict[Edge, tuple[int, ...]] = {}
     for e in dj.edges:
@@ -249,28 +238,13 @@ def eliminate(dj: DJPresentation, tree: SchroederTree) -> SchroederPresentation:
     by_edge_set = {
         frozenset(dj.edges[i] for i in coll): coll for coll in dj.collections
     }
-    relations = []
     factors = []
     for p in internal:
-        ell = tree.arity(p)
-        kids = [labels[p + (c,)] for c in range(ell)]
+        kids = [labels[p + (c,)] for c in range(tree.arity(p))]
         if frozenset(kids) not in by_edge_set:
             raise InternalError(f"no monomial relation matches the cell of vertex {p}")
-        vecs = [substitution[kids[-1]]]
-        vecs.extend(substitution[kids[c]] for c in range(ell - 1))
-        poly = IntPolynomial.constant(k, 1)
-        for vec in vecs:
-            poly = poly * IntPolynomial.linear(vec)
-        relations.append(poly)
-        factors.append(tuple(vecs))
-    return SchroederPresentation(
-        gens=tuple(f"x{a}_{b}" for a, b in gen_labels),
-        relations=tuple(relations),
-        staircase=tuple(tree.arity(p) for p in internal),
-        vertices=internal,
-        labels=gen_labels,
-        factors=tuple(factors),
-    )
+        factors.append([substitution[kids[-1]]] + [substitution[e] for e in kids[:-1]])
+    return _presentation(tree, internal, gen_labels, factors)
 
 
 def betti_profile(tree: SchroederTree) -> tuple[int, ...]:

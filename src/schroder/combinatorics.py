@@ -158,9 +158,20 @@ class Dissection:
 
     @staticmethod
     def from_json(doc) -> "Dissection":
+        """Strict reader for outside input: JSON integers only, no coercion."""
         if not isinstance(doc, dict) or "n" not in doc or "diagonals" not in doc:
             raise ValueError("dissection documents need 'n' and 'diagonals' keys")
-        return Dissection(doc["n"], tuple(tuple(d) for d in doc["diagonals"]))
+        return Dissection(
+            _json_int(doc["n"]),
+            tuple(tuple(_json_int(x) for x in d) for d in doc["diagonals"]),
+        )
+
+
+def _json_int(value) -> int:
+    # bool is an int, and the int() in __post_init__ would read 1.7 or "1" as 1.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def phi_labels(tree: SchroederTree) -> dict[Path, Edge]:
@@ -261,20 +272,21 @@ def enumerate_trees(n_leaves: int) -> list[SchroederTree]:
     return [SchroederTree(s) for s in _shapes(n_leaves)]
 
 
+def dissection_trees(n: int, k: int | None = None) -> list[SchroederTree]:
+    """Trees of the dissections of P_{n+2} (with k cells if given), in the
+    enumerate_trees order that enumerate_dissections(n, k) follows."""
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    return [t for t in enumerate_trees(n + 1) if k is None or t.internal_count == k]
+
+
 def enumerate_dissections(n: int, k: int | None = None) -> list[Dissection]:
     """All dissections of the polygon on 0..n+1, optionally with exactly k cells.
 
     Runs through trees (see enumerate_trees for the order) and maps each one
     back to its dissection, so no crossing tests are ever needed.
     """
-    if k is not None and not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    trees = enumerate_trees(n + 1)
-    return [
-        tree_to_dissection(t)
-        for t in trees
-        if k is None or t.internal_count == k
-    ]
+    return [tree_to_dissection(t) for t in dissection_trees(n, k)]
 
 
 def canonical_code(tree: SchroederTree) -> bytes:

@@ -166,12 +166,22 @@ def is_smooth(f: Fan) -> bool:
     return True
 
 
+def check_primitive(coll: frozenset[int], cones) -> None:
+    """Raise InternalError unless ``coll`` is a primitive collection: inside
+    none of the maximal ``cones``, yet inside one after dropping any element."""
+    if any(coll <= cone for cone in cones):
+        raise InternalError(f"collection {sorted(coll)} lies in a cone")
+    for x in coll:
+        sub = coll - {x}
+        if not any(sub <= cone for cone in cones):
+            raise InternalError(f"proper subset {sorted(sub)} is not a cone")
+
+
 def primitive_collections(d: Dissection) -> tuple[frozenset[int], ...]:
     """The cell edge sets, as ray-index sets, outermost cell first.
 
-    Each returned set is checked against the definition of a primitive
-    collection: not contained in any maximal cone, while dropping any single
-    element lands inside one.
+    Each returned set is checked with check_primitive against the cones
+    of build_fan_direct.
     """
     edges = edge_order(d)
     index = {e: i for i, e in enumerate(edges)}
@@ -180,12 +190,7 @@ def primitive_collections(d: Dissection) -> tuple[frozenset[int], ...]:
     )
     cones = build_fan_direct(d).max_cones
     for coll in collections:
-        if any(coll <= cone for cone in cones):
-            raise InternalError(f"collection {sorted(coll)} lies in a cone")
-        for x in coll:
-            sub = coll - {x}
-            if not any(sub <= cone for cone in cones):
-                raise InternalError(f"proper subset {sorted(sub)} is not a cone")
+        check_primitive(coll, cones)
     return collections
 
 

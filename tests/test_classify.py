@@ -9,6 +9,7 @@ from schroder.classify import (
     _min_vanishing_power,
     _nilpotency_table,
     _primitive_vectors,
+    classes,
     cohomology_isomorphic_bounded,
     count_classes,
     fingerprint,
@@ -19,9 +20,11 @@ from schroder.classify import (
 from schroder.cohomology import schroeder_presentation
 from schroder.combinatorics import (
     Dissection,
+    canonical_code,
     dissection_to_tree,
     enumerate_dissections,
     riordan_table,
+    tree_to_dissection,
 )
 from schroder.polyring import IntPolynomial, normal_form
 
@@ -34,8 +37,6 @@ BRANCH222 = ThreeCellTree(chained=False, degrees=(2, 2, 2))
 
 
 def as_dissection(t: ThreeCellTree) -> Dissection:
-    from schroder.combinatorics import tree_to_dissection
-
     return tree_to_dissection(t.tree())
 
 
@@ -53,6 +54,19 @@ def test_class_counts_match_recurrence():
     assert count_classes(5) == table.total(6)
     assert count_classes(6, 3) == table.s(7, 3)
     assert count_classes(1) == 1
+
+
+def test_classes_match_grouping_of_dissections():
+    # Reference: group the enumerated dissections by the code of their tree.
+    for n in range(1, 8):
+        for k in [None, *range(1, n + 1)]:
+            expected: dict[bytes, list[Dissection]] = {}
+            for d in enumerate_dissections(n, k):
+                expected.setdefault(canonical_code(dissection_to_tree(d)), []).append(d)
+            got = classes(n, k)
+            assert list(got) == list(expected)
+            for code, trees in got.items():
+                assert [tree_to_dissection(t) for t in trees] == expected[code]
 
 
 def test_primitive_vectors():

@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism, round trips."""
 
+import hashlib
 import io
 import json
 
@@ -141,6 +142,17 @@ def test_malformed_input_is_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "cohomology", str(tmp_path / "missing.json"))
     assert code == 2
     assert "cannot read" in err
+    for doc in (
+        '{"n": true, "diagonals": []}',
+        '{"n": 3.0, "diagonals": []}',
+        '{"n": 3, "diagonals": [[1.7, 3]]}',
+        '{"n": 3, "diagonals": [["1", 3]]}',
+        '{"n": 3, "diagonals": [[1, false]]}',
+    ):
+        code, out, err = run(capsys, "fano", write(tmp_path, "loose.json", doc))
+        assert code == 2
+        assert not out
+        assert "expected an integer" in err
 
 
 def test_argument_guards(capsys):
@@ -151,17 +163,39 @@ def test_argument_guards(capsys):
     assert code == 2
     code, _, err = run(capsys, "iso", "--bound", "-1", "a", "b")
     assert code == 2
+    for command in ("enumerate", "classify"):
+        code, out, err = run(capsys, command, "--n", "3", "--k", "5")
+        assert code == 2
+        assert not out
+        assert "--k" in err and "Traceback" not in err
 
 
-def test_thread_cap_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SCHRODER_THREADS", "donkey")
-    code, _, err = run(capsys, "table", "--n", "3")
-    assert code == 2
-    assert "SCHRODER_THREADS" in err
-    monkeypatch.setenv("SCHRODER_THREADS", "0")
-    assert run(capsys, "table", "--n", "3")[0] == 2
-    monkeypatch.setenv("SCHRODER_THREADS", "4")
-    assert run(capsys, "table", "--n", "3")[0] == 0
+# sha256 of the stdout of four commands, which must stay byte for byte the same.
+GOLDEN = [
+    (
+        ("classify", "--n", "6", "--format", "json"),
+        "02978efa844073ac9cd55a210c32cdf29a6e3ce46f1b5b3a0fe447d55115626d",
+    ),
+    (
+        ("classify", "--n", "5"),
+        "42e74728d60ec0b3500e30f36d6094d8064b1c64e58f6edade9f2eb6854aee82",
+    ),
+    (
+        ("classify", "--n", "4", "--format", "json", "--bound", "2"),
+        "b7d6fd04f522b43a26a2e6cfebe6486480893446419f03194fe49c93a2b1862b",
+    ),
+    (
+        ("enumerate", "--n", "7"),
+        "d3c279d5678b536c65f1faa38fdfb779f04e945864a6c4326fd0c42800a2aa95",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_output_is_deterministic(capsys):

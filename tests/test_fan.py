@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schroder.combinatorics import Dissection, enumerate_dissections
+from schroder.errors import InternalError
 from schroder.fan import (
     Fan,
     FanStructureError,
     build_fan_direct,
     build_fan_subdivision,
+    check_primitive,
     edge_order,
     is_fano,
     is_smooth,
@@ -115,6 +117,18 @@ def test_collections_partition_the_rays():
         for d in enumerate_dissections(n):
             colls = primitive_collections(d)
             assert sorted(i for c in colls for i in c) == list(range(n + d.k))
+
+
+def test_check_primitive_rejects_both_ways():
+    cones = build_fan_direct(RUNNING).max_cones
+    cell = primitive_collections(RUNNING)[1]
+    check_primitive(cell, cones)
+    smaller = cell - {min(cell)}
+    with pytest.raises(InternalError, match="lies in a cone"):
+        check_primitive(smaller, cones)
+    # Two full cells together contain a non-cone proper subset.
+    with pytest.raises(InternalError, match="is not a cone"):
+        check_primitive(cell | primitive_collections(RUNNING)[2], cones)
 
 
 def test_running_example_relations():
