@@ -4,7 +4,8 @@ Streams are JSON lines, single results are one JSON document, tables are
 TSV.  Identical invocations produce byte-identical output, so every
 subcommand enumerates and serializes in a fixed order.  Exit codes: 0 for
 success or YES, 1 for NO or a failed verification, 2 for usage errors or
-malformed input, 3 for UNKNOWN.
+malformed input, 3 for UNKNOWN, 4 for an internal error (a failed self-check,
+i.e. a bug).
 """
 
 from __future__ import annotations
@@ -105,21 +106,20 @@ def cmd_iso(args) -> int:
     return {"YES": 0, "NO": 1, "UNKNOWN": 3}[verdict.status]
 
 
-def _class_table(n: int, k: int) -> dict:
-    reps = sorted(
-        tree_to_dissection(canonical_form(group[0])).diagonals
-        for group in classes(n, k).values()
-    )
-    return {
-        "k": k,
-        "count": len(reps),
-        "representatives": [[list(e) for e in diags] for diags in reps],
-    }
-
-
 def cmd_classify(args) -> int:
     ks = range(1, args.n + 1) if args.k is None else [args.k]
-    tables = [_class_table(args.n, k) for k in ks]
+    by_k: dict[int, list] = {k: [] for k in ks}
+    for trees in classes(args.n, args.k).values():
+        rep = tree_to_dissection(canonical_form(trees[0]))
+        by_k[trees[0].internal_count].append(rep.diagonals)
+    tables = [
+        {
+            "k": k,
+            "count": len(reps),
+            "representatives": [[list(e) for e in diags] for diags in sorted(reps)],
+        }
+        for k, reps in by_k.items()
+    ]
     reports = [
         verify_theorem1(args.n, k, args.bound)
         for k in ks
@@ -207,3 +207,6 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4

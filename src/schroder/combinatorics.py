@@ -11,8 +11,8 @@ classification) is built on the objects defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 from .errors import InternalError
@@ -21,25 +21,20 @@ Edge = tuple[int, int]
 Path = tuple[int, ...]
 
 
-def _check_shape(shape) -> None:
+def _measure(shape) -> tuple[int, int]:
+    """Validate a nested-tuple shape and return (leaves, internal vertices)."""
     if not isinstance(shape, tuple):
         raise ValueError(f"tree nodes must be tuples, got {type(shape).__name__}")
+    if not shape:
+        return 1, 0
     if len(shape) == 1:
         raise ValueError("internal vertices need at least two children")
+    leaves, internal = 0, 1
     for child in shape:
-        _check_shape(child)
-
-
-def _count_leaves(shape) -> int:
-    if not shape:
-        return 1
-    return sum(_count_leaves(c) for c in shape)
-
-
-def _count_internal(shape) -> int:
-    if not shape:
-        return 0
-    return 1 + sum(_count_internal(c) for c in shape)
+        child_leaves, child_internal = _measure(child)
+        leaves += child_leaves
+        internal += child_internal
+    return leaves, internal
 
 
 @dataclass(frozen=True)
@@ -53,17 +48,13 @@ class SchroederTree:
     """
 
     shape: tuple
+    n_leaves: int = field(init=False, compare=False, repr=False)
+    internal_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_shape(self.shape)
-
-    @cached_property
-    def n_leaves(self) -> int:
-        return _count_leaves(self.shape)
-
-    @cached_property
-    def internal_count(self) -> int:
-        return _count_internal(self.shape)
+        leaves, internal = _measure(self.shape)
+        object.__setattr__(self, "n_leaves", leaves)
+        object.__setattr__(self, "internal_count", internal)
 
     def subtree(self, path: Path) -> tuple:
         node = self.shape

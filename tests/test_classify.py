@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schroder.classify as classify
 from schroder.classify import (
     ThreeCellTree,
     _gl_witness,
@@ -201,6 +202,20 @@ def test_theorem1_reports():
     searched = verify_theorem1(3, 2, gl_bound=2)
     assert searched.ok
     assert searched.searches == len(enumerate_dissections(3, 2))
+
+
+def test_theorem1_fingerprints_each_class_once(monkeypatch):
+    calls = []
+
+    def counting(d, bound=None):
+        calls.append(d)
+        return fingerprint(d, bound)
+
+    monkeypatch.setattr(classify, "fingerprint", counting)
+    report = verify_theorem1(6, 3)
+    assert report.ok
+    assert len(calls) == report.class_count == 16
+    assert len({canonical_code(dissection_to_tree(d)) for d in calls}) == 16
 
 
 def test_theorem1_scope_is_guarded():

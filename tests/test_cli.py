@@ -8,6 +8,7 @@ import pytest
 
 from schroder.cli import main
 from schroder.combinatorics import Dissection
+from schroder.errors import InternalError
 
 RUNNING_DOC = '{"n": 8, "diagonals": [[0, 3], [0, 7], [3, 7]]}'
 
@@ -170,32 +171,103 @@ def test_argument_guards(capsys):
         assert "--k" in err and "Traceback" not in err
 
 
-# sha256 of the stdout of four commands, which must stay byte for byte the same.
+# sha256 of the stdout of these commands, which must stay byte for byte the
+# same, with their exit codes.  `--bound 0` fails every witness search, so it
+# pins the order of the failure messages.
 GOLDEN = [
     (
         ("classify", "--n", "6", "--format", "json"),
+        0,
         "02978efa844073ac9cd55a210c32cdf29a6e3ce46f1b5b3a0fe447d55115626d",
     ),
     (
         ("classify", "--n", "5"),
+        0,
         "42e74728d60ec0b3500e30f36d6094d8064b1c64e58f6edade9f2eb6854aee82",
     ),
     (
         ("classify", "--n", "4", "--format", "json", "--bound", "2"),
+        0,
         "b7d6fd04f522b43a26a2e6cfebe6486480893446419f03194fe49c93a2b1862b",
     ),
     (
         ("enumerate", "--n", "7"),
+        0,
         "d3c279d5678b536c65f1faa38fdfb779f04e945864a6c4326fd0c42800a2aa95",
+    ),
+    (
+        ("classify", "--n", "6", "--format", "json", "--bound", "0"),
+        1,
+        "7d2476268a32f55ff741359ee223669c852010759ccaa4cdbdf98104d5c33934",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
-def test_golden_stdout(capsys, argv, digest):
+@pytest.mark.parametrize(
+    "argv, exit_code, digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN]
+)
+def test_golden_stdout(capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# `iso` on two dissection documents: (first, second, extra flags, exit code,
+# sha256 of stdout), one per way the verdict is reached.
+GOLDEN_ISO = [
+    (  # the README's pentagon pair: YES with a witness
+        '{"n":3,"diagonals":[[1,4]]}',
+        '{"n":3,"diagonals":[[0,3]]}',
+        ("--bound", "2"),
+        0,
+        "f793c8e1d1bf267fab845de06a69010259d6a95d29cfdd28065c7e82632517eb",
+    ),
+    (  # NO on the staircase exponents
+        '{"n":4,"diagonals":[[1,4]]}',
+        '{"n":4,"diagonals":[[1,3]]}',
+        (),
+        1,
+        "9b64cd3809cd7150c227a19f457e7353a711a6d21b777eb8f57249c1c3418aeb",
+    ),
+    (  # NO on the fingerprints
+        '{"n":3,"diagonals":[[1,4]]}',
+        '{"n":3,"diagonals":[[2,4]]}',
+        (),
+        1,
+        "f5fddc2a474e2811d9912428d03303e10fac7cdbb6b050242a4795c1ab7b146f",
+    ),
+    (  # UNKNOWN: no search
+        RUNNING_DOC,
+        RUNNING_DOC,
+        ("--bound", "0"),
+        3,
+        "95b1b0ce6ce8b2971c07940fb1a137f4a31d0b58016269344e801828fe83f00c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "first, second, flags, exit_code, digest",
+    GOLDEN_ISO,
+    ids=["yes-pentagon", "no-staircase", "no-fingerprint", "unknown-running"],
+)
+def test_golden_iso_stdout(capsys, tmp_path, first, second, flags, exit_code, digest):
+    paths = write(tmp_path, "first.json", first), write(tmp_path, "second.json", second)
+    code, out, _ = run(capsys, "iso", *flags, *paths)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_internal_error_is_exit_four(capsys, monkeypatch, tmp_path):
+    def broken(d):
+        raise InternalError("self-check failed")
+
+    monkeypatch.setattr("schroder.cli.is_fano", broken)
+    code, out, err = run(capsys, "fano", write(tmp_path, "d.json", RUNNING_DOC))
+    assert code == 4
+    assert not out
+    assert err == "internal error: self-check failed\n"
+    assert "Traceback" not in err
 
 
 def test_output_is_deterministic(capsys):
