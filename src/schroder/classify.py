@@ -11,7 +11,6 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -92,17 +91,19 @@ def _bottoms(tree: SchroederTree) -> frozenset[int]:
     )
 
 
-def _primitive_vectors(k: int, bound: int) -> list[tuple[int, ...]]:
-    """Nonzero vectors in [-bound, bound]^k, gcd one, first nonzero entry positive."""
-    out = []
-    for vec in product(range(-bound, bound + 1), repeat=k):
-        nonzero = [c for c in vec if c]
-        if not nonzero or nonzero[0] < 0:
-            continue
-        if math.gcd(*(abs(c) for c in nonzero)) != 1:
-            continue
-        out.append(vec)
-    return out
+@lru_cache(maxsize=None)
+def _primitive_vectors(k: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """Nonzero vectors in [-bound, bound]^k, gcd one, first nonzero entry positive.
+
+    In lexicographic order, as itertools.product yields them; memoised, so
+    the value is immutable.
+    """
+    # The smallest signed type that holds the grid indices 0..2 * bound.
+    dtype = np.min_scalar_type(-2 * bound - 1)
+    grid = np.indices((2 * bound + 1,) * k, dtype=dtype).reshape(k, -1).T - bound
+    first = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
+    keep = (first > 0) & (np.gcd.reduce(grid, axis=1) == 1)
+    return tuple(zip(*grid[keep].T.tolist()))
 
 
 def _min_vanishing_power(vec, ring: RingPresentation, cap: int) -> int | None:
@@ -125,8 +126,11 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     The p-th powers of all forms advance together through the graded
     staircase components; multiplication by one generator is a linear map
     between consecutive components, precomputed once per ring.  Work is
-    done in 64-bit integers, with an a-priori bound checked before every
-    step and an exact big-integer fallback should it ever fail.
+    done in float64, so the products run on BLAS.  Before every step an
+    a-priori bound, max|acc| * max|coefficient| * the summed column norms of
+    the step's maps, caps every partial sum of the step below 2^53, so each
+    value is an exactly represented integer in any summation order; should
+    the bound fail, the remaining forms take an exact big-integer fallback.
     """
     k = ring.k
     top = sum(ring.staircase) - k
@@ -148,7 +152,7 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     for d in range(1, top):
         mats = []
         for i in range(k):
-            m = np.zeros((len(by_degree[d]), len(by_degree[d + 1])), dtype=np.int64)
+            m = np.zeros((len(by_degree[d]), len(by_degree[d + 1])))
             for exp in by_degree[d]:
                 prod_nf = normal_form(
                     ring.variable(i) * IntPolynomial(k, {tuple(exp): 1}), ring
@@ -158,14 +162,15 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
             mats.append(m)
         steps.append(mats)
 
-    alpha = np.asarray(vectors, dtype=np.int64)
+    alpha = np.asarray(vectors)
+    box = int(np.abs(alpha).max())
+    alpha = alpha.astype(np.float64)
     minp = np.full(len(vectors), top + 1, dtype=np.int64)
     alive = np.arange(len(vectors))
-    acc = np.zeros((len(vectors), len(by_degree[1])), dtype=np.int64)
+    acc = np.zeros((len(vectors), len(by_degree[1])))
     for i in range(k):
         acc[:, index[tuple(int(j == i) for j in range(k))]] = alpha[:, i]
 
-    box = int(np.abs(alpha).max())
     for p in range(1, top + 1):
         zero = ~acc.any(axis=1)
         if zero.any():
@@ -176,15 +181,28 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
             break
         mats = steps[p - 1]
         growth = int(sum(np.abs(m).sum(axis=0).max() for m in mats))
-        if int(np.abs(acc).max()) * box * growth >= 2**62:
+        if int(np.abs(acc).max()) * box * growth >= 2**53:
             for v in alive:
                 minp[v] = _min_vanishing_power(vectors[v], ring, top + 1)
             break
-        coeffs = alpha[alive]
-        acc = sum(
-            (acc @ mats[i]) * coeffs[:, i : i + 1] for i in range(k)
-        )
+        acc = _advance(acc, mats, alpha[alive])
     return [int(p) for p in minp]
+
+
+def _advance(acc, mats, coeffs):
+    """sum_i (acc @ mats[i]) * coeffs[:, i], one product per generator.
+
+    The products share one buffer and are summed in place, so a step holds
+    two arrays of the result's size besides `acc`, and none after it.
+    """
+    out = acc @ mats[0]
+    out *= coeffs[:, :1]
+    term = np.empty_like(out)
+    for i in range(1, len(mats)):
+        np.matmul(acc, mats[i], out=term)
+        term *= coeffs[:, i : i + 1]
+        out += term
+    return out
 
 
 @dataclass(frozen=True)
@@ -375,8 +393,8 @@ def cohomology_isomorphic_bounded(
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    sp1 = schroeder_presentation(dissection_to_tree(d1))
-    sp2 = schroeder_presentation(dissection_to_tree(d2))
+    t1, t2 = dissection_to_tree(d1), dissection_to_tree(d2)
+    sp1, sp2 = schroeder_presentation(t1), schroeder_presentation(t2)
     if sp1.k != sp2.k:
         return IsoVerdict("NO", f"generator counts differ: {sp1.k} vs {sp2.k}")
     if sorted(sp1.staircase) != sorted(sp2.staircase):
@@ -385,7 +403,7 @@ def cohomology_isomorphic_bounded(
             "staircase exponent multisets differ: "
             f"{sorted(sp1.staircase)} vs {sorted(sp2.staircase)}",
         )
-    fp1, fp2 = fingerprint(d1), fingerprint(d2)
+    fp1, fp2 = _tree_fingerprint(t1, None), _tree_fingerprint(t2, None)
     if fp1 != fp2:
         fields = [
             f

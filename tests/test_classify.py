@@ -1,5 +1,10 @@
 """Classification: fingerprints, bounded isomorphism search, verification."""
 
+import hashlib
+import json
+import math
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +15,7 @@ from schroder.classify import (
     _min_vanishing_power,
     _nilpotency_table,
     _primitive_vectors,
+    _tree_fingerprint,
     classes,
     cohomology_isomorphic_bounded,
     count_classes,
@@ -70,11 +76,34 @@ def test_classes_match_grouping_of_dissections():
                 assert [tree_to_dissection(t) for t in trees] == expected[code]
 
 
+def primitive_vectors_loop(k, bound):
+    # Reference: the plain itertools/gcd loop.
+    out = []
+    for vec in product(range(-bound, bound + 1), repeat=k):
+        nonzero = [c for c in vec if c]
+        if nonzero and nonzero[0] > 0 and math.gcd(*nonzero) == 1:
+            out.append(vec)
+    return out
+
+
 def test_primitive_vectors():
     vecs = _primitive_vectors(2, 1)
     assert set(vecs) == {(0, 1), (1, -1), (1, 0), (1, 1)}
     assert (2, 4) not in _primitive_vectors(2, 4)
     assert all(v in _primitive_vectors(2, 2) for v in vecs)
+    # The last two cross the int8 range of the generated grid.
+    for k, bound in [*product(range(1, 5), range(5)), (1, 64), (2, 64)]:
+        vecs = _primitive_vectors(k, bound)
+        assert list(vecs) == primitive_vectors_loop(k, bound)
+        assert all(type(c) is int for vec in vecs for c in vec)
+
+
+def test_primitive_vectors_are_memoised_and_immutable():
+    first = _primitive_vectors(3, 2)
+    assert _primitive_vectors(3, 2) == first
+    assert isinstance(first, tuple) and all(isinstance(v, tuple) for v in first)
+    with pytest.raises(TypeError):
+        first[0] = (1, 0, 0)
 
 
 def test_nilpotency_table_matches_one_at_a_time():
@@ -86,6 +115,48 @@ def test_nilpotency_table_matches_one_at_a_time():
         for vec, p in zip(vectors, table):
             assert p == (_min_vanishing_power(vec, ring, top + 1) or top + 1)
         assert _nilpotency_table(ring, []) == []
+
+
+@pytest.mark.parametrize(
+    "big, fallbacks", [(2**53 + 1, 4), (2**20, 4), (2**10, 3), (2**8, 2)]
+)
+def test_nilpotency_table_falls_back_exactly(monkeypatch, big, fallbacks):
+    # float64 holds integers exactly only below 2**53.  Forms with a large
+    # coefficient pass that limit at the first step (2**53 + 1 is not even
+    # representable) or only after a few, and must then be finished on the
+    # exact path.  The number of forms sent there tells when the guard
+    # tripped: (0, 0, 0, 1) dies at p = 4, (0, 0, 1, 1) at p = 6.
+    ring = schroeder_presentation(dissection_to_tree(RUNNING))
+    top = sum(ring.staircase) - ring.k
+    vectors = [(big, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1), (0, 1, -2, 0)]
+    expected = [_min_vanishing_power(v, ring, top + 1) or top + 1 for v in vectors]
+    sent = []
+
+    def counting(vec, ring, cap):
+        sent.append(vec)
+        return _min_vanishing_power(vec, ring, cap)
+
+    monkeypatch.setattr(classify, "_min_vanishing_power", counting)
+    assert _nilpotency_table(ring, vectors) == expected
+    assert len(sent) == fallbacks
+
+
+# sha256 of [n, k, canonical code, repr(fingerprint)] for every class with
+# n <= 6, taken from the int64 nilpotency table, which needed no float
+# exactness argument.
+GOLDEN_FINGERPRINTS = "d37e4defa2cd43fc2c03235bb1377b3b9b0bb9d38d83217fd77dde784b49f7fb"
+
+
+def test_golden_fingerprints():
+    rows = [
+        [n, k, code.hex(), repr(_tree_fingerprint(trees[0], None))]
+        for n in range(1, 7)
+        for k in range(1, n + 1)
+        for code, trees in sorted(classes(n, k).items())
+    ]
+    assert len(rows) == 143
+    digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_FINGERPRINTS
 
 
 def test_fingerprint_is_a_class_invariant():
@@ -151,6 +222,19 @@ def test_witness_maps_relations_to_zero():
                     term = term * sub[i]
             acc = acc + term
         assert normal_form(acc, sp2) == 0
+
+
+def test_iso_builds_each_tree_once(monkeypatch):
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return dissection_to_tree(d)
+
+    monkeypatch.setattr(classify, "dissection_to_tree", counting)
+    pentagon = Dissection(3, ((1, 4),)), Dissection(3, ((0, 3),))
+    assert cohomology_isomorphic_bounded(*pentagon, 2).status == "YES"
+    assert calls == list(pentagon)
 
 
 def test_verdict_no_on_cheap_invariants():
