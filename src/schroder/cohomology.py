@@ -15,22 +15,24 @@ from functools import cache
 
 from .combinatorics import Edge, Path, SchroederTree, phi_labels
 from .errors import InternalError
-from .fan import Fan, check_primitive
+from .fan import Fan, check_primitive_with, omission_masks
 from .polyring import IntPolynomial, RingPresentation, hilbert_series
 
 
 def _matching_descendants(tree: SchroederTree, labels, v: Path) -> list[Path]:
-    b = labels[v][1]
+    """Proper descendants of v, top down, whose label ends where v's does.
+
+    A label ends at the last leaf below its vertex, and leaves are numbered
+    left to right, so these are the vertices of v's rightmost chain.
+    """
     found: list[Path] = []
-
-    def walk(path):
-        for i in range(tree.arity(path)):
-            child = path + (i,)
-            if labels[child][1] == b:
-                found.append(child)
-            walk(child)
-
-    walk(v)
+    path, node = v, tree.subtree(v)
+    while node:
+        path += (len(node) - 1,)
+        node = node[-1]
+        found.append(path)
+    if any(labels[u][1] != labels[v][1] for u in found):
+        raise InternalError(f"the rightmost chain below {v} leaves its label")
     return found
 
 
@@ -163,31 +165,26 @@ def dj_presentation(f: Fan) -> DJPresentation:
     """Read the presentation off the fan alone.
 
     Primitive collections are recovered from the maximal cones: two rays
-    belong to the same collection exactly when no maximal cone omits both.
-    The resulting classes are verified with check_primitive before they are
-    returned.
+    belong to the same collection exactly when no maximal cone omits both,
+    i.e. when their omission masks (one pass over the cones) are disjoint.
+    The resulting classes are verified to be primitive against the same
+    masks before they are returned.
     """
     m = len(f.rays)
-    universe = frozenset(range(m))
-    separated = set()
-    for cone in f.max_cones:
-        outside = sorted(universe - cone)
-        for a in range(len(outside)):
-            for b in range(a + 1, len(outside)):
-                separated.add((outside[a], outside[b]))
+    omits, in_a_cone = omission_masks(f.max_cones, m)
     classes: list[tuple[int, ...]] = []
     owner: dict[int, int] = {}
     for i in range(m):
         if i in owner:
             continue
-        cls = [j for j in range(m) if j == i or (min(i, j), max(i, j)) not in separated]
+        cls = [j for j in range(m) if j == i or not omits[i] & omits[j]]
         for j in cls:
             if j in owner:
                 raise InternalError("co-omission classes do not partition the rays")
             owner[j] = len(classes)
         classes.append(tuple(cls))
     for cls in classes:
-        check_primitive(frozenset(cls), f.max_cones)
+        check_primitive_with(frozenset(cls), in_a_cone)
     linear = tuple(
         IntPolynomial.linear([f.rays[i][d] for i in range(m)]) for d in range(f.n)
     )

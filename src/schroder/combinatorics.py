@@ -21,19 +21,26 @@ Edge = tuple[int, int]
 Path = tuple[int, ...]
 
 
+# Measuring a tree, its preorder, phi_labels and dissection_to_tree keep
+# their own stacks instead of recursing: a fan triangulation of the
+# (n+2)-gon gives a tree of depth n, which may exceed the recursion limit.
+
+
 def _measure(shape) -> tuple[int, int]:
     """Validate a nested-tuple shape and return (leaves, internal vertices)."""
-    if not isinstance(shape, tuple):
-        raise ValueError(f"tree nodes must be tuples, got {type(shape).__name__}")
-    if not shape:
-        return 1, 0
-    if len(shape) == 1:
-        raise ValueError("internal vertices need at least two children")
-    leaves, internal = 0, 1
-    for child in shape:
-        child_leaves, child_internal = _measure(child)
-        leaves += child_leaves
-        internal += child_internal
+    leaves = internal = 0
+    stack = [shape]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, tuple):
+            raise ValueError(f"tree nodes must be tuples, got {type(node).__name__}")
+        if not node:
+            leaves += 1
+        elif len(node) == 1:
+            raise ValueError("internal vertices need at least two children")
+        else:
+            internal += 1
+            stack += node[::-1]
     return leaves, internal
 
 
@@ -68,20 +75,23 @@ class SchroederTree:
     def arity(self, path: Path) -> int:
         return len(self.subtree(path))
 
-    def preorder(self) -> list[Path]:
-        """All vertex paths, root first, children left to right."""
-        out: list[Path] = []
-
-        def walk(node, path):
-            out.append(path)
-            for i, child in enumerate(node):
-                walk(child, path + (i,))
-
-        walk(self.shape, ())
+    def _walk(self) -> list[tuple[Path, tuple]]:
+        """(path, subtree) of every vertex, root first, children left to right."""
+        out = []
+        stack = [((), self.shape)]
+        while stack:
+            path, node = stack.pop()
+            out.append((path, node))
+            for i in range(len(node) - 1, -1, -1):
+                stack.append((path + (i,), node[i]))
         return out
 
+    def preorder(self) -> list[Path]:
+        """All vertex paths, root first, children left to right."""
+        return [path for path, _ in self._walk()]
+
     def internal_preorder(self) -> list[Path]:
-        return [p for p in self.preorder() if self.subtree(p)]
+        return [path for path, node in self._walk() if node]
 
     def to_json(self):
         """Nested-array form: a leaf is 0, an internal vertex a list."""
@@ -173,26 +183,22 @@ def phi_labels(tree: SchroederTree) -> dict[Path, Edge]:
     rightmost child.  The root always ends up with {0, n+1}, sides correspond
     to leaves, and diagonals to the remaining internal vertices.
     """
+    walk = tree._walk()
     labels: dict[Path, Edge] = {}
     seen = 0
-
-    def walk(node, path) -> Edge:
-        nonlocal seen
+    for path, node in walk:  # preorder meets the leaves left to right
         if not node:
             seen += 1
-            lbl = (seen - 1, seen)
-        else:
-            child_labels = [walk(c, path + (i,)) for i, c in enumerate(node)]
-            lbl = (child_labels[0][0], child_labels[-1][1])
-        labels[path] = lbl
-        return lbl
-
-    walk(tree.shape, ())
+            labels[path] = (seen - 1, seen)
+    for path, node in reversed(walk):  # children before their parent
+        if node:
+            labels[path] = (labels[path + (0,)][0], labels[path + (len(node) - 1,)][1])
     return labels
 
 
 def dissection_to_tree(d: Dissection) -> SchroederTree:
-    """Peel off the cell containing the distinguished edge, recursively.
+    """Peel off the cell containing the distinguished edge, then the regions
+    beyond its other edges in turn.
 
     The cell of the region [lo..hi] adjacent to the edge {lo, hi} is traced
     greedily: from each cell vertex the next one is the farthest endpoint of
@@ -204,19 +210,34 @@ def dissection_to_tree(d: Dissection) -> SchroederTree:
     def is_edge(a: int, b: int) -> bool:
         return b - a == 1 or (a, b) in diag
 
-    def build(lo: int, hi: int) -> tuple:
-        if hi - lo == 1:
-            return ()
+    def cell(lo: int, hi: int) -> list[int]:
         verts = [lo]
         v = lo
         while v != hi:
             cap = hi - 1 if v == lo else hi
-            w = next(u for u in range(cap, v, -1) if is_edge(v, u))
-            verts.append(w)
-            v = w
-        return tuple(build(verts[i], verts[i + 1]) for i in range(len(verts) - 1))
+            v = next(u for u in range(cap, v, -1) if is_edge(v, u))
+            verts.append(v)
+        return verts
 
-    return SchroederTree(build(0, d.n + 1))
+    # A region is revisited once its subregions, pushed so that the leftmost
+    # is finished first, have left their shapes at the end of ``done``.
+    done: list[tuple] = []
+    stack: list[tuple[int, int, list[int] | None]] = [(0, d.n + 1, None)]
+    while stack:
+        lo, hi, verts = stack.pop()
+        if hi - lo == 1:
+            done.append(())
+        elif verts is None:
+            verts = cell(lo, hi)
+            stack.append((lo, hi, verts))
+            for i in range(len(verts) - 1, 0, -1):
+                stack.append((verts[i - 1], verts[i], None))
+        else:
+            first = len(done) - len(verts) + 1
+            kids = tuple(done[first:])
+            del done[first:]
+            done.append(kids)
+    return SchroederTree(done[0])
 
 
 def tree_to_dissection(tree: SchroederTree) -> Dissection:

@@ -10,7 +10,7 @@ and their relations then certify the Fano property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from ._matrix import det
 from .combinatorics import Dissection, Edge
@@ -43,25 +43,29 @@ def edge_order(d: Dissection) -> tuple[Edge, ...]:
     return sides + tuple(sorted(d.diagonals, key=lambda e: (e[0], -e[1])))
 
 
-def _cells(d: Dissection) -> list[tuple[Edge, list[Edge]]]:
-    """(distinguished edge, remaining edges) for each cell of the dissection.
+def _cells(d: Dissection) -> tuple[tuple[Edge, ...], tuple[frozenset[int], ...]]:
+    """edge_order(d), and each cell's edges but its distinguished one, as
+    ray-index sets.
 
     The cell under edge {a, b} is bounded by {a, b} together with the edges
     immediately nested inside its span; {0, n+1} bounds the outermost cell.
     Cells are listed with the outermost first, then by diagonal in the
-    edge_order sense.
+    edge_order sense.  One pass over all edges in nesting order keeps the
+    chain of spans still open on a stack: an edge belongs to the innermost.
     """
-    holders = [(0, d.n + 1)] + sorted(d.diagonals, key=lambda e: (e[0], -e[1]))
-    members: dict[Edge, list[Edge]] = {h: [] for h in holders}
-    edges = [(i, i + 1) for i in range(d.n + 1)] + list(d.diagonals)
-    for e in edges:
-        best = None
-        for h in holders:
-            if h != e and h[0] <= e[0] and e[1] <= h[1]:
-                if best is None or (best[0] <= h[0] and h[1] <= best[1]):
-                    best = h
-        members[best].append(e)
-    return [(h, members[h]) for h in holders]
+    edges = edge_order(d)
+    outer = (0, d.n + 1)
+    members: dict[Edge, list[int]] = {outer: []}
+    stack = [outer]
+    for i in sorted(range(len(edges)), key=lambda i: (edges[i][0], -edges[i][1])):
+        a, b = edges[i]
+        while stack[-1][1] < b:
+            stack.pop()
+        members[stack[-1]].append(i)
+        if b - a > 1:
+            members[(a, b)] = []
+            stack.append((a, b))
+    return edges, tuple(frozenset(m) for m in members.values())
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,10 @@ class Fan:
                 raise FanStructureError(
                     f"ray {v} has length {len(v)}, expected {self.n}"
                 )
-        for cone in self.max_cones:
-            if not all(0 <= i < len(self.rays) for i in cone):
-                raise FanStructureError(f"cone {sorted(cone)} uses unknown rays")
+        m = len(self.rays)
+        if not all(0 <= i < m for i in frozenset().union(*self.max_cones)):
+            bad = next(c for c in self.max_cones if not all(0 <= i < m for i in c))
+            raise FanStructureError(f"cone {sorted(bad)} uses unknown rays")
 
     def to_json(self):
         return {
@@ -117,9 +122,7 @@ def build_fan_direct(d: Dissection) -> Fan:
     when it misses at least one edge of every cell, so the maximal cones are
     the complements of one-edge-per-cell transversals.
     """
-    edges = edge_order(d)
-    index = {e: i for i, e in enumerate(edges)}
-    cells = [frozenset(index[e] for e in rest) for _, rest in _cells(d)]
+    edges, cells = _cells(d)
     everything = frozenset(range(len(edges)))
     cones = frozenset(everything - frozenset(drop) for drop in product(*cells))
     rays = tuple(ray_vector(d.n, e) for e in edges)
@@ -154,44 +157,138 @@ def build_fan_subdivision(d: Dissection) -> Fan:
     return Fan(n, tuple(edges), rays, frozenset(cones))
 
 
+def _graph_edges(rays) -> list[tuple[int, int]] | None:
+    """Each ray as a graph edge (tail, head) on the vertices 0..n, or None.
+
+    A ray with entries in {0, +-1}, at most one +1 and at most one -1, is
+    e_head - e_tail with e_0 = 0: head is the index of its +1 (or 0), tail
+    the index of its -1 (or 0).  The zero ray is the loop (0, 0).
+    """
+    edges = []
+    for v in rays:
+        if not set(v) <= {-1, 0, 1} or v.count(1) > 1 or v.count(-1) > 1:
+            return None
+        edges.append(
+            (v.index(-1) + 1 if -1 in v else 0, v.index(1) + 1 if 1 in v else 0)
+        )
+    return edges
+
+
+def _spans_tree(edges, cone, n: int) -> bool:
+    """Whether the n graph edges indexed by ``cone`` close no cycle, i.e.
+    form a spanning tree of the vertices 0..n (union-find)."""
+    parent = list(range(n + 1))
+    for i in cone:
+        a, b = edges[i]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
+            return False
+        parent[a] = b
+    return True
+
+
 def is_smooth(f: Fan) -> bool:
-    """Whether every maximal cone's rays form a basis of the lattice."""
+    """Whether every maximal cone's rays form a basis of the lattice.
+
+    When every ray is a graph edge (see _graph_edges), a cone's n rays are
+    the rows of the incidence matrix of a directed graph on the vertices
+    0..n with the column of vertex 0 deleted.  That matrix is totally
+    unimodular, and its determinant is +-1 exactly when the n edges form a
+    spanning tree, 0 otherwise.  If they close a cycle (a loop and a
+    repeated edge are cycles too), the signed sum of the cycle's rows
+    vanishes.  If not, the n edges on n + 1 vertices are a spanning tree;
+    of its two or more leaves one is not 0, its column holds a single +-1,
+    and expanding along that column and deleting the leaf shows det = +-1
+    by induction.  So one union-find per cone decides smoothness exactly.
+    Fans with other rays go through the determinant.
+    """
+    edges = _graph_edges(f.rays)
     for cone in f.max_cones:
         if len(cone) != f.n:
             raise FanStructureError(
                 f"maximal cone {sorted(cone)} has {len(cone)} rays in dimension {f.n}"
             )
-        if abs(det([list(f.rays[i]) for i in sorted(cone)])) != 1:
+        if edges is not None:
+            if not _spans_tree(edges, cone, f.n):
+                return False
+        elif abs(det([list(f.rays[i]) for i in sorted(cone)])) != 1:
             return False
     return True
 
 
-def check_primitive(coll: frozenset[int], cones) -> None:
-    """Raise InternalError unless ``coll`` is a primitive collection: inside
-    none of the maximal ``cones``, yet inside one after dropping any element."""
-    if any(coll <= cone for cone in cones):
+def omission_masks(cones, m: int):
+    """One bitmask per ray i < m: bit c is set when the c-th of ``cones``
+    omits ray i.  Also returns a test whether a ray set lies in some cone:
+    in cone c exactly when none of its rays is omitted by c, so in some cone
+    exactly when the OR of its masks leaves a bit clear.
+    """
+    cones = list(cones)
+    full = (1 << len(cones)) - 1
+    masks = [full] * m
+    for c, cone in enumerate(cones):
+        for i in cone:
+            masks[i] &= ~(1 << c)
+
+    def in_a_cone(rays) -> bool:
+        union = 0
+        for i in rays:
+            union |= masks[i]
+        return union != full
+
+    return masks, in_a_cone
+
+
+def check_primitive_with(coll: frozenset[int], in_a_cone) -> None:
+    """Raise InternalError unless ``coll`` is a primitive collection, given
+    a test whether a ray set lies in some maximal cone."""
+    if in_a_cone(coll):
         raise InternalError(f"collection {sorted(coll)} lies in a cone")
     for x in coll:
         sub = coll - {x}
-        if not any(sub <= cone for cone in cones):
+        if not in_a_cone(sub):
             raise InternalError(f"proper subset {sorted(sub)} is not a cone")
+
+
+def check_primitive(coll: frozenset[int], cones) -> None:
+    """Raise InternalError unless ``coll`` is a primitive collection: inside
+    none of the maximal ``cones``, yet inside one after dropping any element.
+    The test runs on their omission masks."""
+    m = 1 + max(chain(coll, *cones), default=-1)
+    check_primitive_with(coll, omission_masks(cones, m)[1])
+
+
+def _cell_test(cells):
+    """Whether a ray set lies in a cone of the fan build_fan_direct makes
+    from ``cells``, which partition the rays.
+
+    Its cones are the complements of one-ray-per-cell transversals, and a
+    transversal avoiding the set exists exactly when no whole cell lies in
+    the set; only the cells of the set's own rays can.
+    """
+    owner = {i: cell for cell in cells for i in cell}
+    return lambda rays: not any(owner[i] <= rays for i in rays)
+
+
+def _checked_cells(d: Dissection):
+    """_cells(d), with every cell checked to be a primitive collection of the
+    fan of build_fan_direct, against the cells instead of its cones."""
+    edges, cells = _cells(d)
+    in_a_cone = _cell_test(cells)
+    for coll in cells:
+        check_primitive_with(coll, in_a_cone)
+    return edges, cells
 
 
 def primitive_collections(d: Dissection) -> tuple[frozenset[int], ...]:
     """The cell edge sets, as ray-index sets, outermost cell first.
 
-    Each returned set is checked with check_primitive against the cones
+    Each returned set is checked to be a primitive collection of the fan
     of build_fan_direct.
     """
-    edges = edge_order(d)
-    index = {e: i for i, e in enumerate(edges)}
-    collections = tuple(
-        frozenset(index[e] for e in rest) for _, rest in _cells(d)
-    )
-    cones = build_fan_direct(d).max_cones
-    for coll in collections:
-        check_primitive(coll, cones)
-    return collections
+    return _checked_cells(d)[1]
 
 
 @dataclass(frozen=True)
@@ -212,11 +309,13 @@ def primitive_relation(d: Dissection, collection: frozenset[int]) -> PrimitiveRe
     """Relation for one collection: zero for the outermost cell, else the
     single ray of the cell's distinguished edge, checked by exact vector
     arithmetic."""
-    edges = edge_order(d)
-    index = {e: i for i, e in enumerate(edges)}
-    cells = {frozenset(index[e] for e in rest) for _, rest in _cells(d)}
+    edges, cells = _cells(d)
     if collection not in cells:
         raise ValueError(f"{sorted(collection)} is not a primitive collection")
+    return _relation(d, edges, collection)
+
+
+def _relation(d: Dissection, edges, collection: frozenset[int]) -> PrimitiveRelation:
     span = set()
     for i in collection:
         span.update(edges[i])
@@ -268,7 +367,5 @@ class FanoCertificate:
 
 def is_fano(d: Dissection) -> FanoCertificate:
     """Certificate that the variety of the dissection is Fano."""
-    relations = tuple(
-        primitive_relation(d, coll) for coll in primitive_collections(d)
-    )
-    return FanoCertificate(edge_order(d), relations)
+    edges, cells = _checked_cells(d)
+    return FanoCertificate(edges, tuple(_relation(d, edges, c) for c in cells))

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -256,6 +257,85 @@ def test_golden_iso_stdout(capsys, tmp_path, first, second, flags, exit_code, di
     code, out, _ = run(capsys, "iso", *flags, *paths)
     assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# `fano` and `cohomology` on one dissection document: (command, document,
+# exit code, sha256 of stdout).  The first document is the README's running
+# example.
+GOLDEN_DOC = [
+    (command, doc, 0, digest)
+    for doc, fano, cohomology in [
+        (
+            RUNNING_DOC,
+            "3e9c39606e6a29f4d1e243468a25c756c8ab92f6adeb096a319664f34dc62634",
+            "6261af2bdd1f311ecbe805c3d8224779fd2c3721ec6208ec3d53950d58d8a342",
+        ),
+        (
+            '{"n":7,"diagonals":[[0,4],[1,3],[4,7]]}',
+            "d4522dba7001ef79926aae78ec628c6cfec7878c8df2399d9ab8604b7eb02913",
+            "ab554ebc32c23afe7dd7189ca5ca3a49ae710a963f66cfede5d2abb4c6701c4d",
+        ),
+        (
+            '{"n":8,"diagonals":[[0,2],[2,5],[2,8],[5,8]]}',
+            "090af5725eb14830e555544e8d73a178020cfcf0d114a8785fb90dec6f67586e",
+            "ad6f1ab3483f79518853412f4b4d7ea9dab020861a5cfcd70ef621b39a3f3856",
+        ),
+        (
+            '{"n":9,"diagonals":[[0,2],[0,3],[0,4],[0,5],[0,6],[0,7],[0,8],[0,9]]}',
+            "bc23d0dcbca480dec0ea7042ea2675c7069307191e411bd7cda7e3909e2e7054",
+            "f4698995c517aa4724d2ea994493e2a31cf82beaed891a7a765b24714d28bc4c",
+        ),
+        (
+            '{"n":10,"diagonals":[[1,4],[1,10],[4,7],[4,10],[7,10]]}',
+            "79ca944e0a9340adab3ef5ca8d3a191f563d3a8510e2a0eead9e3516597dfa16",
+            "6c0a4ab4564566ac0ea61faea5f393aaf6e2f050173e9a299f67532a45e89b45",
+        ),
+        (
+            '{"n":10,"diagonals":[]}',
+            "54161807febd8b2c45d571762fc488b52aa8eba049384c5123b325ac9f6116a3",
+            "e570658f58f7705769582e47d0727a4e64483e14beb7464908578c54c6628ac2",
+        ),
+    ]
+    for command, digest in (("fano", fano), ("cohomology", cohomology))
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, exit_code, digest",
+    GOLDEN_DOC,
+    ids=[f"{c}-{json.loads(d)['n']}-{len(json.loads(d)['diagonals'])}" for c, d, _, _ in GOLDEN_DOC],
+)
+def test_golden_document_stdout(capsys, tmp_path, command, doc, exit_code, digest):
+    code, out, _ = run(capsys, command, write(tmp_path, "d.json", doc))
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _fan_triangulation(n):
+    return json.dumps({"n": n, "diagonals": [[0, j] for j in range(2, n + 1)]})
+
+
+def test_fano_certificate_without_cone_enumeration(capsys, tmp_path):
+    # 41 cells of two rays each: the fan has 2^41 maximal cones.
+    path = write(tmp_path, "d.json", _fan_triangulation(41))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "fano", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["fano"] is True
+    assert [r["degree"] for r in doc["relations"]] == [2] + [1] * 40
+
+
+def test_deep_tree_cohomology(capsys, tmp_path):
+    # The tree of this dissection has depth 1500, past the recursion limit.
+    target = tmp_path / "ring.json"
+    path = write(tmp_path, "d.json", _fan_triangulation(1500))
+    code, out, err = run(capsys, "cohomology", path, "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    doc = json.loads(target.read_text(encoding="utf-8"))
+    assert doc["gens"][:2] == ["x1500_1501", "x1499_1500"]
+    assert doc["staircase"] == [2] * 1500
 
 
 def test_internal_error_is_exit_four(capsys, monkeypatch, tmp_path):

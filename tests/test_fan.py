@@ -1,18 +1,24 @@
 """Fan construction by both routes, smoothness, and the Fano certificate."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schroder._matrix import det
 from schroder.combinatorics import Dissection, enumerate_dissections
 from schroder.errors import InternalError
 from schroder.fan import (
     Fan,
     FanStructureError,
+    _cell_test,
+    _cells,
+    _graph_edges,
     build_fan_direct,
     build_fan_subdivision,
     check_primitive,
+    check_primitive_with,
     edge_order,
     is_fano,
     is_smooth,
@@ -79,7 +85,60 @@ def test_non_smooth_fan_detected():
         ((1, 0), (1, 2), (-1, -1)),
         frozenset({frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})}),
     )
+    assert _graph_edges(fan.rays) is None  # so is_smooth takes the det path
     assert not is_smooth(fan)
+
+
+def _det_smooth(rays, cone):
+    return abs(det([list(rays[i]) for i in sorted(cone)])) == 1
+
+
+def test_is_smooth_matches_det_on_every_cone():
+    cones = 0
+    for n in range(1, 7):
+        for d in enumerate_dissections(n):
+            fan = build_fan_direct(d)
+            assert _graph_edges(fan.rays) is not None
+            for cone in fan.max_cones:
+                one = Fan(n, fan.edges, fan.rays, frozenset({cone}))
+                assert is_smooth(one) == _det_smooth(fan.rays, cone)
+                cones += 1
+    assert cones == 42782
+
+
+def _graphic_ray(rng, n):
+    """e_head - e_tail on the vertices 0..n, e_0 = 0; the zero ray when equal."""
+    tail, head = rng.randrange(n + 1), rng.randrange(n + 1)
+    v = [0] * n
+    if tail:
+        v[tail - 1] -= 1
+    if head:
+        v[head - 1] += 1
+    return tuple(v)
+
+
+def test_is_smooth_matches_det_on_random_graphic_cones():
+    rng = random.Random(20261018)
+    seen = {"smooth": 0, "zero ray": 0, "repeated ray": 0, "cycle": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        rays = [_graphic_ray(rng, n) for _ in range(n)]
+        if rng.random() < 0.2:
+            rays[rng.randrange(n)] = rays[rng.randrange(n)]
+        edges = tuple((i, i + 1) for i in range(n))
+        fan = Fan(n, edges, tuple(rays), frozenset({frozenset(range(n))}))
+        assert _graph_edges(fan.rays) is not None
+        smooth = is_smooth(fan)
+        assert smooth == _det_smooth(rays, range(n))
+        if smooth:
+            seen["smooth"] += 1
+        elif not all(any(v) for v in rays):
+            seen["zero ray"] += 1
+        elif len(set(rays)) < n:
+            seen["repeated ray"] += 1
+        else:
+            seen["cycle"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_fan_validation():
@@ -89,6 +148,8 @@ def test_fan_validation():
         Fan(2, ((0, 1),), ((1, 0, 0),), frozenset())
     with pytest.raises(FanStructureError, match="unknown rays"):
         Fan(1, ((0, 1),), ((1,),), frozenset({frozenset({3})}))
+    with pytest.raises(FanStructureError, match=r"cone \[0, 3\] uses unknown rays"):
+        Fan(1, ((0, 1),), ((1,),), frozenset({frozenset({0}), frozenset({0, 3})}))
     with pytest.raises(FanStructureError, match="maximal cone"):
         is_smooth(
             Fan(2, ((0, 1), (1, 2)), ((1, 0), (0, 1)), frozenset({frozenset({0})}))
@@ -129,6 +190,47 @@ def test_check_primitive_rejects_both_ways():
     # Two full cells together contain a non-cone proper subset.
     with pytest.raises(InternalError, match="is not a cone"):
         check_primitive(cell | primitive_collections(RUNNING)[2], cones)
+
+
+def _full_cone_check(coll, cones):
+    """The primitive-collection check as it was first written: subset tests
+    against every maximal cone.  Kept as the oracle for the faster checks."""
+    if any(coll <= cone for cone in cones):
+        raise InternalError(f"collection {sorted(coll)} lies in a cone")
+    for x in coll:
+        sub = coll - {x}
+        if not any(sub <= cone for cone in cones):
+            raise InternalError(f"proper subset {sorted(sub)} is not a cone")
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except InternalError as exc:
+        return str(exc)
+    return None
+
+
+def test_cell_and_mask_checks_match_the_full_cone_check():
+    """Cells pass; a cell minus one ray lies in a cone; two cells joined
+    have a proper subset that is not a cone.  The cell test and the mask
+    test reach the oracle's verdict and message on each."""
+    for n in range(1, 8):
+        for d in enumerate_dissections(n):
+            cones = build_fan_direct(d).max_cones
+            cells = _cells(d)[1]
+            by_cells = _cell_test(cells)
+            candidates = [(cell, None) for cell in cells]
+            for i, cell in enumerate(cells):
+                candidates.append((cell - {min(cell)}, "lies in a cone"))
+                if i:
+                    candidates.append((cell | cells[i - 1], "is not a cone"))
+            for coll, reason in candidates:
+                expected = _verdict(_full_cone_check, coll, cones)
+                assert (expected is None) == (reason is None)
+                assert reason is None or expected.endswith(reason)
+                assert _verdict(check_primitive_with, coll, by_cells) == expected
+                assert _verdict(check_primitive, coll, cones) == expected
 
 
 def test_running_example_relations():
