@@ -31,7 +31,13 @@ from .combinatorics import (
 )
 from .cohomology import SchroederPresentation, schroeder_presentation
 from .errors import InternalError
-from .polyring import IntPolynomial, RingPresentation, hilbert_series, normal_form
+from .polyring import (
+    IntPolynomial,
+    RingPresentation,
+    hilbert_series,
+    min_vanishing_power,
+    normal_form,
+)
 
 
 def variety_isomorphic(d1: Dissection, d2: Dissection) -> bool:
@@ -106,18 +112,6 @@ def _primitive_vectors(k: int, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*grid[keep].T.tolist()))
 
 
-def _min_vanishing_power(vec, ring: RingPresentation, cap: int) -> int | None:
-    """Least p <= cap with (sum_i vec[i] x_i)^p = 0 in the ring, else None."""
-    lin = IntPolynomial.linear(vec)
-    acc = normal_form(lin, ring)
-    for p in range(1, cap + 1):
-        if not acc:
-            return p
-        if p < cap:
-            acc = normal_form(acc * lin, ring)
-    return None
-
-
 def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     """Minimal p with alpha^p = 0, for every coefficient vector at once.
 
@@ -140,7 +134,7 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     if min(ring.staircase) < 2:
         # Generators with staircase exponent one reduce away; the graded
         # embedding below assumes none do.
-        return [_min_vanishing_power(v, ring, top + 1) or top + 1 for v in vectors]
+        return [min_vanishing_power(v, top + 1, ring) or top + 1 for v in vectors]
 
     by_degree: dict[int, list[tuple[int, ...]]] = {}
     for exp in product(*(range(l) for l in ring.staircase)):
@@ -183,7 +177,7 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
         growth = int(sum(np.abs(m).sum(axis=0).max() for m in mats))
         if int(np.abs(acc).max()) * box * growth >= 2**53:
             for v in alive:
-                minp[v] = _min_vanishing_power(vectors[v], ring, top + 1)
+                minp[v] = min_vanishing_power(vectors[v], top + 1, ring)
             break
         acc = _advance(acc, mats, alpha[alive])
     return [int(p) for p in minp]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import InternalError
 
@@ -21,9 +21,10 @@ Edge = tuple[int, int]
 Path = tuple[int, ...]
 
 
-# Measuring a tree, its preorder, phi_labels and dissection_to_tree keep
-# their own stacks instead of recursing: a fan triangulation of the
-# (n+2)-gon gives a tree of depth n, which may exceed the recursion limit.
+# Measuring a tree, its preorder and phi_labels keep their own stacks, and
+# nesting keeps one of open spans, instead of recursing: a fan triangulation
+# of the (n+2)-gon gives a tree of depth n, which may exceed the recursion
+# limit.
 
 
 def _measure(shape) -> tuple[int, int]:
@@ -142,12 +143,7 @@ class Dissection:
                 raise ValueError(f"{(i, j)} is a polygon side, not a diagonal")
             if (i, j) == (0, self.n + 1):
                 raise ValueError("the distinguished edge {0, n+1} is not a diagonal")
-        for a in range(len(self.diagonals)):
-            for b in range(a + 1, len(self.diagonals)):
-                if _cross(self.diagonals[a], self.diagonals[b]):
-                    raise ValueError(
-                        f"diagonals {self.diagonals[a]} and {self.diagonals[b]} cross"
-                    )
+        _nest_diagonals(self.n, self.diagonals)  # raises on a crossing
 
     @property
     def k(self) -> int:
@@ -196,48 +192,62 @@ def phi_labels(tree: SchroederTree) -> dict[Path, Edge]:
     return labels
 
 
-def dissection_to_tree(d: Dissection) -> SchroederTree:
-    """Peel off the cell containing the distinguished edge, then the regions
-    beyond its other edges in turn.
+def _nest_diagonals(n: int, diagonals) -> dict[Edge, list[Edge]]:
+    """For {0, n+1} and each diagonal, outermost first and then by (left end,
+    -right end), the diagonals directly inside it from left to right.
 
-    The cell of the region [lo..hi] adjacent to the edge {lo, hi} is traced
-    greedily: from each cell vertex the next one is the farthest endpoint of
-    a dissection edge, which is correct because edges never enter a cell's
-    interior.
+    Visiting the diagonals in that order, the spans still open form a chain
+    on a stack.  A diagonal that starts inside the innermost open span but
+    ends beyond it crosses that span, and if two diagonals cross, the pass
+    meets that case at the second of them or before.  The error names the
+    first crossing pair in lexicographic order.
     """
-    diag = set(d.diagonals)
+    outer = (0, n + 1)
+    inside: dict[Edge, list[Edge]] = {outer: []}
+    stack = [outer]
+    for a, b in sorted(diagonals, key=lambda e: (e[0], -e[1])):
+        while stack[-1][1] <= a:
+            stack.pop()
+        if stack[-1][1] < b:
+            e, f = next(p for p in combinations(sorted(diagonals), 2) if _cross(*p))
+            raise ValueError(f"diagonals {e} and {f} cross")
+        inside[stack[-1]].append((a, b))
+        inside[(a, b)] = []
+        stack.append((a, b))
+    return inside
 
-    def is_edge(a: int, b: int) -> bool:
-        return b - a == 1 or (a, b) in diag
 
-    def cell(lo: int, hi: int) -> list[int]:
-        verts = [lo]
-        v = lo
-        while v != hi:
-            cap = hi - 1 if v == lo else hi
-            v = next(u for u in range(cap, v, -1) if is_edge(v, u))
-            verts.append(v)
-        return verts
+def nesting(d: Dissection) -> dict[Edge, list[Edge]]:
+    """For {0, n+1} and each diagonal, the edges directly inside it, sides
+    included, from left to right: the children of its tree vertex.
 
-    # A region is revisited once its subregions, pushed so that the leftmost
-    # is finished first, have left their shapes at the end of ``done``.
-    done: list[tuple] = []
-    stack: list[tuple[int, int, list[int] | None]] = [(0, d.n + 1, None)]
-    while stack:
-        lo, hi, verts = stack.pop()
-        if hi - lo == 1:
-            done.append(())
-        elif verts is None:
-            verts = cell(lo, hi)
-            stack.append((lo, hi, verts))
-            for i in range(len(verts) - 1, 0, -1):
-                stack.append((verts[i - 1], verts[i], None))
-        else:
-            first = len(done) - len(verts) + 1
-            kids = tuple(done[first:])
-            del done[first:]
-            done.append(kids)
-    return SchroederTree(done[0])
+    Keys run outermost first, then by (left end, -right end), so every
+    diagonal comes after the edge it lies inside.
+    """
+    out = {}
+    for (lo, hi), diags in _nest_diagonals(d.n, d.diagonals).items():
+        kids, v = [], lo
+        for a, b in diags:
+            while v < a:
+                kids.append((v, v + 1))
+                v += 1
+            kids.append((a, b))
+            v = b
+        while v < hi:
+            kids.append((v, v + 1))
+            v += 1
+        out[(lo, hi)] = kids
+    return out
+
+
+def dissection_to_tree(d: Dissection) -> SchroederTree:
+    """The nesting of the edges as a tree: {0, n+1} is the root, the sides
+    are the leaves, and the children of an edge are those directly inside it.
+    """
+    shapes: dict[Edge, tuple] = {}
+    for edge, kids in reversed(nesting(d).items()):  # inner edges first
+        shapes[edge] = tuple(shapes.get(e, ()) for e in kids)
+    return SchroederTree(shapes[(0, d.n + 1)])
 
 
 def tree_to_dissection(tree: SchroederTree) -> Dissection:

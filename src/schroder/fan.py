@@ -10,10 +10,10 @@ and their relations then certify the Fano property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 from ._matrix import det
-from .combinatorics import Dissection, Edge
+from .combinatorics import Dissection, Edge, nesting
 from .errors import InternalError
 
 
@@ -37,7 +37,8 @@ def edge_order(d: Dissection) -> tuple[Edge, ...]:
 
     Sorting diagonals by (left endpoint, -right endpoint) lists every span
     before the spans nested inside it, left to right; this is the depth-first
-    order of the nesting forest and the order subdivision consumes them in.
+    order of the nesting forest, the order combinatorics.nesting lists them
+    in, and the order subdivision consumes them in.
     """
     sides = tuple((i, i + 1) for i in range(d.n + 1))
     return sides + tuple(sorted(d.diagonals, key=lambda e: (e[0], -e[1])))
@@ -48,24 +49,13 @@ def _cells(d: Dissection) -> tuple[tuple[Edge, ...], tuple[frozenset[int], ...]]
     ray-index sets.
 
     The cell under edge {a, b} is bounded by {a, b} together with the edges
-    immediately nested inside its span; {0, n+1} bounds the outermost cell.
-    Cells are listed with the outermost first, then by diagonal in the
-    edge_order sense.  One pass over all edges in nesting order keeps the
-    chain of spans still open on a stack: an edge belongs to the innermost.
+    directly inside its span, which combinatorics.nesting lists; {0, n+1}
+    bounds the outermost cell.  Cells are listed with the outermost first,
+    then by diagonal in the edge_order sense.
     """
     edges = edge_order(d)
-    outer = (0, d.n + 1)
-    members: dict[Edge, list[int]] = {outer: []}
-    stack = [outer]
-    for i in sorted(range(len(edges)), key=lambda i: (edges[i][0], -edges[i][1])):
-        a, b = edges[i]
-        while stack[-1][1] < b:
-            stack.pop()
-        members[stack[-1]].append(i)
-        if b - a > 1:
-            members[(a, b)] = []
-            stack.append((a, b))
-    return edges, tuple(frozenset(m) for m in members.values())
+    index = {e: i for i, e in enumerate(edges)}.__getitem__
+    return edges, tuple(frozenset(map(index, kids)) for kids in nesting(d).values())
 
 
 @dataclass(frozen=True)
@@ -250,14 +240,6 @@ def check_primitive_with(coll: frozenset[int], in_a_cone) -> None:
         sub = coll - {x}
         if not in_a_cone(sub):
             raise InternalError(f"proper subset {sorted(sub)} is not a cone")
-
-
-def check_primitive(coll: frozenset[int], cones) -> None:
-    """Raise InternalError unless ``coll`` is a primitive collection: inside
-    none of the maximal ``cones``, yet inside one after dropping any element.
-    The test runs on their omission masks."""
-    m = 1 + max(chain(coll, *cones), default=-1)
-    check_primitive_with(coll, omission_masks(cones, m)[1])
 
 
 def _cell_test(cells):

@@ -332,20 +332,30 @@ def normal_form(p: IntPolynomial, r: RingPresentation) -> IntPolynomial:
     return IntPolynomial._raw(p.nvars, done)
 
 
+def min_vanishing_power(alpha, cap: int, r: RingPresentation) -> int | None:
+    """Least p <= cap with (sum_i alpha_i x_i)^p = 0 in the quotient, else
+    None.  Multiplies one factor at a time, reducing after each step to keep
+    intermediate polynomials under the staircase."""
+    lin = IntPolynomial.linear(alpha)
+    acc = normal_form(lin, r)
+    for p in range(1, cap + 1):
+        if not acc:
+            return p
+        if p < cap:
+            acc = normal_form(acc * lin, r)
+    return None
+
+
 def power_is_zero(alpha, p: int, r: RingPresentation) -> bool:
     """Whether the linear form with coefficient vector alpha has p-th power
-    zero in the quotient.  Multiplies one factor at a time, reducing after
-    each step to keep intermediate polynomials under the staircase."""
+    zero in the quotient."""
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"power must be a positive integer, got {p!r}")
     alpha = tuple(alpha)
     if len(alpha) != r.k:
         raise ValueError(f"form has {len(alpha)} coefficients, ring has {r.k} generators")
-    lin = IntPolynomial.linear(alpha)
-    acc = normal_form(lin, r)
-    for _ in range(p - 1):
-        acc = normal_form(acc * lin, r)
-    return not acc
+    # A lower power vanishing makes every higher one vanish too.
+    return min_vanishing_power(alpha, p, r) is not None
 
 
 def hilbert_series(r: RingPresentation) -> tuple[int, ...]:

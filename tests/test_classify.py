@@ -12,7 +12,6 @@ import schroder.classify as classify
 from schroder.classify import (
     ThreeCellTree,
     _gl_witness,
-    _min_vanishing_power,
     _nilpotency_table,
     _primitive_vectors,
     _tree_fingerprint,
@@ -33,7 +32,7 @@ from schroder.combinatorics import (
     riordan_table,
     tree_to_dissection,
 )
-from schroder.polyring import IntPolynomial, normal_form
+from schroder.polyring import IntPolynomial, min_vanishing_power, normal_form
 
 RUNNING = Dissection(8, ((0, 3), (0, 7), (3, 7)))
 
@@ -113,7 +112,7 @@ def test_nilpotency_table_matches_one_at_a_time():
         vectors = _primitive_vectors(ring.k, 2)
         table = _nilpotency_table(ring, vectors)
         for vec, p in zip(vectors, table):
-            assert p == (_min_vanishing_power(vec, ring, top + 1) or top + 1)
+            assert p == (min_vanishing_power(vec, top + 1, ring) or top + 1)
         assert _nilpotency_table(ring, []) == []
 
 
@@ -129,14 +128,14 @@ def test_nilpotency_table_falls_back_exactly(monkeypatch, big, fallbacks):
     ring = schroeder_presentation(dissection_to_tree(RUNNING))
     top = sum(ring.staircase) - ring.k
     vectors = [(big, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1), (0, 1, -2, 0)]
-    expected = [_min_vanishing_power(v, ring, top + 1) or top + 1 for v in vectors]
+    expected = [min_vanishing_power(v, top + 1, ring) or top + 1 for v in vectors]
     sent = []
 
-    def counting(vec, ring, cap):
+    def counting(vec, cap, ring):
         sent.append(vec)
-        return _min_vanishing_power(vec, ring, cap)
+        return min_vanishing_power(vec, cap, ring)
 
-    monkeypatch.setattr(classify, "_min_vanishing_power", counting)
+    monkeypatch.setattr(classify, "min_vanishing_power", counting)
     assert _nilpotency_table(ring, vectors) == expected
     assert len(sent) == fallbacks
 

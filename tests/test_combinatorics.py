@@ -26,19 +26,23 @@ RUNNING = Dissection(8, ((0, 3), (0, 7), (3, 7)))
 RUNNING_SHAPE = ((((), (), ()), ((), (), (), ())), (), ())
 
 
-def brute_force_dissections(n):
-    """All non-crossing diagonal sets, straight from the definition."""
+def cross(d1, d2):
+    (a, b), (c, d) = sorted((d1, d2))
+    return a < c < b < d
 
-    def cross(d1, d2):
-        (a, b), (c, d) = sorted((d1, d2))
-        return a < c < b < d
 
-    pool = [
+def diagonal_pool(n):
+    return [
         (i, j)
         for i in range(n + 1)
         for j in range(i + 2, n + 2)
         if (i, j) != (0, n + 1)
     ]
+
+
+def brute_force_dissections(n):
+    """All non-crossing diagonal sets, straight from the definition."""
+    pool = diagonal_pool(n)
     found = []
     for r in range(len(pool) + 1):
         for subset in combinations(pool, r):
@@ -129,6 +133,32 @@ def test_dissection_validation():
         Dissection(3, ((2, 5),))
     with pytest.raises(ValueError):
         Dissection(0, ())
+
+
+def test_crossing_names_the_first_pair():
+    # The stack pass meets (2, 5) inside (1, 3); the message still names the
+    # lexicographically first crossing pair.
+    with pytest.raises(ValueError, match=r"^diagonals \(0, 4\) and \(2, 5\) cross$"):
+        Dissection(5, ((0, 4), (1, 3), (2, 5)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_validation_matches_pairwise_scan(n):
+    """Every diagonal set: accepted exactly when brute force accepts it, and
+    rejected with the first crossing pair of a pairwise scan."""
+    valid = brute_force_dissections(n)
+    pool = diagonal_pool(n)
+    for r in range(len(pool) + 1):
+        for subset in combinations(pool, r):
+            pairs = combinations(subset, 2)
+            first = next(((a, b) for a, b in pairs if cross(a, b)), None)
+            assert (first is None) == (frozenset(subset) in valid)
+            if first is None:
+                assert Dissection(n, subset).diagonals == subset
+            else:
+                with pytest.raises(ValueError) as exc:
+                    Dissection(n, subset)
+                assert str(exc.value) == f"diagonals {first[0]} and {first[1]} cross"
 
 
 def test_tree_validation():

@@ -17,11 +17,11 @@ from schroder.fan import (
     _graph_edges,
     build_fan_direct,
     build_fan_subdivision,
-    check_primitive,
     check_primitive_with,
     edge_order,
     is_fano,
     is_smooth,
+    omission_masks,
     primitive_collections,
     primitive_relation,
     ray_vector,
@@ -181,15 +181,16 @@ def test_collections_partition_the_rays():
 
 
 def test_check_primitive_rejects_both_ways():
-    cones = build_fan_direct(RUNNING).max_cones
+    fan = build_fan_direct(RUNNING)
+    in_a_cone = omission_masks(fan.max_cones, len(fan.rays))[1]
     cell = primitive_collections(RUNNING)[1]
-    check_primitive(cell, cones)
+    check_primitive_with(cell, in_a_cone)
     smaller = cell - {min(cell)}
     with pytest.raises(InternalError, match="lies in a cone"):
-        check_primitive(smaller, cones)
+        check_primitive_with(smaller, in_a_cone)
     # Two full cells together contain a non-cone proper subset.
     with pytest.raises(InternalError, match="is not a cone"):
-        check_primitive(cell | primitive_collections(RUNNING)[2], cones)
+        check_primitive_with(cell | primitive_collections(RUNNING)[2], in_a_cone)
 
 
 def _full_cone_check(coll, cones):
@@ -217,7 +218,9 @@ def test_cell_and_mask_checks_match_the_full_cone_check():
     test reach the oracle's verdict and message on each."""
     for n in range(1, 8):
         for d in enumerate_dissections(n):
-            cones = build_fan_direct(d).max_cones
+            fan = build_fan_direct(d)
+            cones = fan.max_cones
+            by_masks = omission_masks(cones, len(fan.rays))[1]
             cells = _cells(d)[1]
             by_cells = _cell_test(cells)
             candidates = [(cell, None) for cell in cells]
@@ -230,7 +233,7 @@ def test_cell_and_mask_checks_match_the_full_cone_check():
                 assert (expected is None) == (reason is None)
                 assert reason is None or expected.endswith(reason)
                 assert _verdict(check_primitive_with, coll, by_cells) == expected
-                assert _verdict(check_primitive, coll, cones) == expected
+                assert _verdict(check_primitive_with, coll, by_masks) == expected
 
 
 def test_running_example_relations():
