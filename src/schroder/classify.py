@@ -24,8 +24,10 @@ from .combinatorics import (
     SchroederTree,
     canonical_code,
     canonical_form,
+    class_trees,
     dissection_to_tree,
     dissection_trees,
+    kirkman_cayley,
     riordan_table,
     tree_to_dissection,
 )
@@ -59,24 +61,17 @@ def _group(trees) -> dict[bytes, list[SchroederTree]]:
     return groups
 
 
-def classes(n: int, k: int | None = None) -> dict[bytes, list[SchroederTree]]:
-    """Variety classes of the dissections of P_{n+2}, optionally with k cells.
-
-    Keyed by canonical code; each class lists its trees in dissection_trees order.
-    """
-    return _group(dissection_trees(n, k))
-
-
 def count_classes(n: int, k: int | None = None) -> int:
     """Number of isomorphism classes of varieties from dissections of P_{n+2}.
 
-    Counts distinct canonical codes and cross-checks the total against the
-    coefficient table of the generating-function recurrence.
+    Counts the generated class trees and cross-checks the count for every
+    number of cells against the coefficient table of the generating-function
+    recurrence, an independent route to the same numbers.
     """
-    per_cells = Counter(group[0].internal_count for group in classes(n, k).values())
+    per_cells = Counter(tree.internal_count for tree in class_trees(n, k))
     table = riordan_table(n + 1)
-    for cells, count in per_cells.items():
-        if count != table.s(n + 1, cells):
+    for cells in range(1, n + 1) if k is None else [k]:
+        if per_cells[cells] != table.s(n + 1, cells):
             raise InternalError(
                 f"code count for n={n}, k={cells} disagrees with the recurrence"
             )
@@ -98,18 +93,26 @@ def _bottoms(tree: SchroederTree) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def _primitive_vectors(k: int, bound: int) -> tuple[tuple[int, ...], ...]:
+def _primitive_array(k: int, bound: int) -> np.ndarray:
     """Nonzero vectors in [-bound, bound]^k, gcd one, first nonzero entry positive.
 
-    In lexicographic order, as itertools.product yields them; memoised, so
-    the value is immutable.
+    One row per vector, in lexicographic order, as itertools.product yields
+    them; memoised, so the array is read-only.
     """
     # The smallest signed type that holds the grid indices 0..2 * bound.
     dtype = np.min_scalar_type(-2 * bound - 1)
     grid = np.indices((2 * bound + 1,) * k, dtype=dtype).reshape(k, -1).T - bound
     first = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
     keep = (first > 0) & (np.gcd.reduce(grid, axis=1) == 1)
-    return tuple(zip(*grid[keep].T.tolist()))
+    out = grid[keep]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _primitive_vectors(k: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of _primitive_array(k, bound) as tuples of ints; memoised."""
+    return tuple(zip(*_primitive_array(k, bound).T.tolist()))
 
 
 def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
@@ -128,13 +131,15 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     """
     k = ring.k
     top = sum(ring.staircase) - k
-    vectors = list(vectors)
-    if not vectors:
+    exact = np.asarray(vectors)  # no copy when `vectors` is already an array
+    if not len(exact):
         return []
     if min(ring.staircase) < 2:
         # Generators with staircase exponent one reduce away; the graded
         # embedding below assumes none do.
-        return [min_vanishing_power(v, top + 1, ring) or top + 1 for v in vectors]
+        return [
+            min_vanishing_power(v, top + 1, ring) or top + 1 for v in exact.tolist()
+        ]
 
     by_degree: dict[int, list[tuple[int, ...]]] = {}
     for exp in product(*(range(l) for l in ring.staircase)):
@@ -156,12 +161,11 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
             mats.append(m)
         steps.append(mats)
 
-    alpha = np.asarray(vectors)
-    box = int(np.abs(alpha).max())
-    alpha = alpha.astype(np.float64)
-    minp = np.full(len(vectors), top + 1, dtype=np.int64)
-    alive = np.arange(len(vectors))
-    acc = np.zeros((len(vectors), len(by_degree[1])))
+    box = int(np.abs(exact).max())
+    alpha = exact.astype(np.float64)
+    minp = np.full(len(exact), top + 1, dtype=np.int64)
+    alive = np.arange(len(exact))
+    acc = np.zeros((len(exact), len(by_degree[1])))
     for i in range(k):
         acc[:, index[tuple(int(j == i) for j in range(k))]] = alpha[:, i]
 
@@ -177,7 +181,7 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
         growth = int(sum(np.abs(m).sum(axis=0).max() for m in mats))
         if int(np.abs(acc).max()) * box * growth >= 2**53:
             for v in alive:
-                minp[v] = min_vanishing_power(vectors[v], top + 1, ring)
+                minp[v] = min_vanishing_power(exact[v].tolist(), top + 1, ring)
             break
         acc = _advance(acc, mats, alpha[alive])
     return [int(p) for p in minp]
@@ -269,7 +273,7 @@ def _tree_fingerprint(tree: SchroederTree, bound: int | None) -> Fingerprint:
     ring = schroeder_presentation(tree)
     floor = staircase[0]
     vectors = _primitive_vectors(ring.k, bound)
-    powers = _nilpotency_table(ring, vectors)
+    powers = _nilpotency_table(ring, _primitive_array(ring.k, bound))
     counts: dict[int, int] = {}
     vanishing = []
     for vec, p in zip(vectors, powers):
@@ -460,16 +464,16 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
     if not (k <= 3 or k == n):
         raise ValueError("classification is checked for k <= 3 or k = n")
     failures = []
-    groups = classes(n, k)
+    trees = class_trees(n, k)
     expected = riordan_table(n + 1).s(n + 1, k)
-    if len(groups) != expected:
+    if len(trees) != expected:
         failures.append(
-            f"found {len(groups)} classes, recurrence table gives {expected}"
+            f"found {len(trees)} classes, recurrence table gives {expected}"
         )
 
     # One canonical representative and one fingerprint per class.
     reps = sorted(
-        ((tree_to_dissection(canonical_form(trees[0])), trees) for trees in groups.values()),
+        ((tree_to_dissection(tree), tree) for tree in trees),
         key=lambda rep: rep[0].diagonals,
     )
     prints = [fingerprint(rep) for rep, _ in reps]
@@ -483,8 +487,9 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
 
     searches = 0
     if gl_bound is not None:
-        for rep, trees in reps:
-            for d in map(tree_to_dissection, trees):
+        members = _group(dissection_trees(n, k))
+        for rep, tree in reps:
+            for d in map(tree_to_dissection, members[canonical_code(tree)]):
                 verdict = cohomology_isomorphic_bounded(rep, d, gl_bound)
                 searches += 1
                 if verdict.status != "YES":
@@ -495,9 +500,9 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
     return TheoremOneReport(
         n=n,
         k=k,
-        class_count=len(groups),
+        class_count=len(trees),
         expected_count=expected,
-        dissection_count=sum(len(trees) for trees in groups.values()),
+        dissection_count=kirkman_cayley(n, k),
         searches=searches,
         failures=tuple(failures),
     )
@@ -587,7 +592,8 @@ def verify_prop_further(
         ring = schroeder_presentation(tree)
         bottoms = _bottoms(tree)
         vectors = _primitive_vectors(ring.k, ell)
-        powers = dict(zip(vectors, _nilpotency_table(ring, vectors)))
+        table = _nilpotency_table(ring, _primitive_array(ring.k, ell))
+        powers = dict(zip(vectors, table))
         for i in range(ring.k):
             unit = tuple(int(t == i) for t in range(ring.k))
             if (powers[unit] <= ell) != (i in bottoms):

@@ -5,20 +5,24 @@ TSV.  Identical invocations produce byte-identical output, so every
 subcommand enumerates and serializes in a fixed order.  Exit codes: 0 for
 success or YES, 1 for NO or a failed verification, 2 for usage errors or
 malformed input, 3 for UNKNOWN, 4 for an internal error (a failed self-check,
-i.e. a bug).
+i.e. a bug).  A reader that closes the pipe early (``| head``) cuts the
+output short but changes neither the exit code nor stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
+import os
 import sys
 
-from .classify import classes, cohomology_isomorphic_bounded, verify_theorem1
+from .classify import cohomology_isomorphic_bounded, verify_theorem1
 from .cohomology import schroeder_presentation
 from .combinatorics import (
     Dissection,
-    canonical_form,
+    class_trees,
     dissection_to_tree,
     dissection_trees,
     kirkman_cayley,
@@ -33,12 +37,30 @@ class _InputError(Exception):
     """Unusable command input: missing file, bad JSON, invalid dissection."""
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The stream a command writes to: the file `out`, or stdout.
+
+    When the reader of stdout goes away, the rest of the output goes to the
+    null device instead, so neither the command's remaining writes nor the
+    flush at interpreter exit can fail; the command skips to its end.
+    """
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _load_dissection(path: str) -> Dissection:
@@ -57,22 +79,22 @@ def _load_dissection(path: str) -> Dissection:
 
 
 def cmd_enumerate(args) -> int:
-    lines = []
-    count = 0
-    for tree in dissection_trees(args.n, args.k):
-        d = tree_to_dissection(tree)
-        record = {
-            "n": d.n,
-            "diagonals": [list(e) for e in d.diagonals],
-            "tree": tree.to_json(),
-        }
-        lines.append(json.dumps(record, sort_keys=True))
-        count += 1
-    ks = range(1, args.n + 1) if args.k is None else [args.k]
-    if count != sum(kirkman_cayley(args.n, k) for k in ks):
-        raise InternalError("enumeration count disagrees with the closed form")
-    lines.append(json.dumps({"count": count}))
-    _emit("\n".join(lines) + "\n", args.out)
+    """Write each record as soon as it is made, then the count trailer."""
+    with _output(args.out) as fh:
+        count = 0
+        for tree in dissection_trees(args.n, args.k):
+            d = tree_to_dissection(tree)
+            record = {
+                "n": d.n,
+                "diagonals": [list(e) for e in d.diagonals],
+                "tree": tree.to_json(),
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            count += 1
+        ks = range(1, args.n + 1) if args.k is None else [args.k]
+        if count != sum(kirkman_cayley(args.n, k) for k in ks):
+            raise InternalError("enumeration count disagrees with the closed form")
+        fh.write(json.dumps({"count": count}) + "\n")
     return 0
 
 
@@ -109,9 +131,8 @@ def cmd_iso(args) -> int:
 def cmd_classify(args) -> int:
     ks = range(1, args.n + 1) if args.k is None else [args.k]
     by_k: dict[int, list] = {k: [] for k in ks}
-    for trees in classes(args.n, args.k).values():
-        rep = tree_to_dissection(canonical_form(trees[0]))
-        by_k[trees[0].internal_count].append(rep.diagonals)
+    for tree in class_trees(args.n, args.k):
+        by_k[tree.internal_count].append(tree_to_dissection(tree).diagonals)
     tables = [
         {
             "k": k,
@@ -143,7 +164,9 @@ def cmd_classify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="schroder",
         description="Toric varieties from polygon dissections: enumeration, "

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, groupby, product
+from operator import itemgetter
 
 from .errors import InternalError
 
@@ -21,10 +22,10 @@ Edge = tuple[int, int]
 Path = tuple[int, ...]
 
 
-# Measuring a tree, its preorder and phi_labels keep their own stacks, and
-# nesting keeps one of open spans, instead of recursing: a fan triangulation
-# of the (n+2)-gon gives a tree of depth n, which may exceed the recursion
-# limit.
+# Measuring a tree, its preorder, phi_labels and tree_to_dissection keep their
+# own stacks, and nesting keeps one of open spans, instead of recursing: a fan
+# triangulation of the (n+2)-gon gives a tree of depth n, which may exceed the
+# recursion limit.
 
 
 def _measure(shape) -> tuple[int, int]:
@@ -251,12 +252,27 @@ def dissection_to_tree(d: Dissection) -> SchroederTree:
 
 
 def tree_to_dissection(tree: SchroederTree) -> Dissection:
-    """Inverse of dissection_to_tree: internal non-root labels are the diagonals."""
+    """Inverse of dissection_to_tree: internal non-root labels are the diagonals.
+
+    One walk counts the leaves; an internal vertex is labeled with the
+    counts on entering and on leaving it, which is its phi_labels pair.
+    """
     if tree.n_leaves < 2:
         raise ValueError("a single-leaf tree has no associated polygon")
-    labels = phi_labels(tree)
-    diags = [labels[p] for p in tree.internal_preorder() if p != ()]
-    return Dissection(tree.n_leaves - 1, tuple(diags))
+    labels: list[list[int]] = []
+    seen = 0
+    stack = [tree.shape]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, int):  # leaving the internal vertex labels[node]
+            labels[node][1] = seen
+        elif node:
+            stack.append(len(labels))
+            labels.append([seen, 0])
+            stack += node[::-1]
+        else:
+            seen += 1
+    return Dissection(tree.n_leaves - 1, tuple(map(tuple, labels[1:])))
 
 
 def _compositions(total: int):
@@ -300,6 +316,47 @@ def dissection_trees(n: int, k: int | None = None) -> list[SchroederTree]:
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     return [t for t in enumerate_trees(n + 1) if k is None or t.internal_count == k]
+
+
+@lru_cache(maxsize=None)
+def _canonical_shapes(n_leaves: int) -> tuple[tuple[bytes, tuple], ...]:
+    """(code, shape) of one canonical shape per unordered class, by code.
+
+    The children of a class form a multiset of smaller classes: a partition
+    of the leaves into at least two parts (a non-increasing composition),
+    and for each part size a multiset of classes of that size.  Sorting the
+    children by code gives the shape that canonical_form makes of any
+    member, and their codes joined in that order give its canonical code.
+    """
+    if n_leaves == 1:
+        return ((b"\x00", ()),)
+    out = []
+    for parts in _compositions(n_leaves):
+        if len(parts) < 2 or list(parts) != sorted(parts, reverse=True):
+            continue
+        picks = [
+            combinations_with_replacement(_canonical_shapes(size), len(list(group)))
+            for size, group in groupby(parts)
+        ]
+        for pick in product(*picks):
+            kids = sorted(sum(pick, ()), key=itemgetter(0))
+            code = bytes([len(kids)]) + b"".join(c for c, _ in kids)
+            out.append((code, tuple(shape for _, shape in kids)))
+    out.sort(key=itemgetter(0))
+    return tuple(out)
+
+
+def class_trees(n: int, k: int | None = None) -> list[SchroederTree]:
+    """One canonical tree per variety class of the dissections of P_{n+2}
+    (with k cells if given), in canonical code order.
+
+    Generated class by class, without building the plane trees; each tree
+    equals canonical_form of every member of its class.
+    """
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    trees = (SchroederTree(shape) for _, shape in _canonical_shapes(n + 1))
+    return [t for t in trees if k is None or t.internal_count == k]
 
 
 def enumerate_dissections(n: int, k: int | None = None) -> list[Dissection]:

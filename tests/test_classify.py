@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -13,9 +14,9 @@ from schroder.classify import (
     ThreeCellTree,
     _gl_witness,
     _nilpotency_table,
+    _primitive_array,
     _primitive_vectors,
     _tree_fingerprint,
-    classes,
     cohomology_isomorphic_bounded,
     count_classes,
     fingerprint,
@@ -27,6 +28,8 @@ from schroder.cohomology import schroeder_presentation
 from schroder.combinatorics import (
     Dissection,
     canonical_code,
+    canonical_form,
+    class_trees,
     dissection_to_tree,
     enumerate_dissections,
     riordan_table,
@@ -69,10 +72,19 @@ def test_classes_match_grouping_of_dissections():
             expected: dict[bytes, list[Dissection]] = {}
             for d in enumerate_dissections(n, k):
                 expected.setdefault(canonical_code(dissection_to_tree(d)), []).append(d)
-            got = classes(n, k)
-            assert list(got) == list(expected)
-            for code, trees in got.items():
-                assert [tree_to_dissection(t) for t in trees] == expected[code]
+            got = {canonical_code(tree): tree for tree in class_trees(n, k)}
+            assert set(got) == set(expected)
+            assert list(got) == sorted(got)
+            for code, members in expected.items():
+                assert got[code] == canonical_form(dissection_to_tree(members[0]))
+
+
+def test_class_trees_per_cells_match_recurrence():
+    table = riordan_table(13)
+    for n in range(1, 13):
+        per_cells = Counter(tree.internal_count for tree in class_trees(n))
+        assert per_cells == {k: table.s(n + 1, k) for k in range(1, n + 1)}
+    assert sum(per_cells.values()) == 68954
 
 
 def primitive_vectors_loop(k, bound):
@@ -103,6 +115,12 @@ def test_primitive_vectors_are_memoised_and_immutable():
     assert isinstance(first, tuple) and all(isinstance(v, tuple) for v in first)
     with pytest.raises(TypeError):
         first[0] = (1, 0, 0)
+    array = _primitive_array(3, 2)
+    assert _primitive_array(3, 2) is array
+    assert array.tolist() == [list(v) for v in first]
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0, 0] = 0
 
 
 def test_nilpotency_table_matches_one_at_a_time():
@@ -148,10 +166,10 @@ GOLDEN_FINGERPRINTS = "d37e4defa2cd43fc2c03235bb1377b3b9b0bb9d38d83217fd77dde784
 
 def test_golden_fingerprints():
     rows = [
-        [n, k, code.hex(), repr(_tree_fingerprint(trees[0], None))]
+        [n, k, canonical_code(tree).hex(), repr(_tree_fingerprint(tree, None))]
         for n in range(1, 7)
         for k in range(1, n + 1)
-        for code, trees in sorted(classes(n, k).items())
+        for tree in sorted(class_trees(n, k), key=canonical_code)
     ]
     assert len(rows) == 143
     digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()

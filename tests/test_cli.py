@@ -3,10 +3,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import schroder
+import schroder.cli as cli
 from schroder.cli import main
 from schroder.combinatorics import Dissection
 from schroder.errors import InternalError
@@ -358,11 +364,61 @@ def test_output_is_deterministic(capsys):
 
 
 def test_out_flag_writes_identical_bytes(capsys, tmp_path):
-    target = tmp_path / "table.tsv"
-    code, out, _ = run(capsys, "table", "--n", "6")
-    assert code == 0
-    assert run(capsys, "table", "--n", "6", "--out", str(target))[0] == 0
-    assert target.read_text(encoding="utf-8") == out
+    target = tmp_path / "out.txt"
+    for argv in [
+        ("table", "--n", "6"),
+        ("enumerate", "--n", "5"),
+        ("enumerate", "--n", "4", "--k", "3"),
+    ]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == out
+
+
+def schroder_process(*argv):
+    """`python -m schroder ARGV` in a child with its three streams piped."""
+    env = dict(os.environ)
+    src = str(Path(schroder.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "schroder", *argv],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # A reader that stops after one line, like `schroder enumerate | head -1`.
+    proc = schroder_process("enumerate", "--n", "8")
+    proc.stdin.close()
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert json.loads(first)["diagonals"] == []
+
+    # A reader gone before the verdict is written leaves the NO exit code.
+    other = write(tmp_path, "c.json", '{"n": 3, "diagonals": []}')
+    proc = schroder_process("iso", "-", other)
+    proc.stdout.close()
+    proc.stdin.write(b'{"n": 3, "diagonals": [[1, 3]]}')
+    proc.stdin.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+def test_parser_is_built_once(capsys):
+    cli._build_parser.cache_clear()
+    assert run(capsys, "table", "--n", "2")[0] == 0
+    assert run(capsys, "table", "--n", "3")[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_enumerate_records_round_trip(capsys, tmp_path):

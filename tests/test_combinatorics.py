@@ -102,6 +102,16 @@ def test_bijection_roundtrip_both_ways():
             assert dissection_to_tree(tree_to_dissection(t)) == t
 
 
+def test_tree_to_dissection_matches_phi_labels():
+    # Reference: the diagonals are the phi_labels of the internal vertices
+    # other than the root.
+    for leaves in range(2, 10):
+        for tree in enumerate_trees(leaves):
+            labels = phi_labels(tree)
+            diags = [labels[p] for p in tree.internal_preorder() if p != ()]
+            assert tree_to_dissection(tree) == Dissection(leaves - 1, tuple(diags))
+
+
 def test_cell_count_is_diagonals_plus_one():
     assert RUNNING.k == 4
     assert Dissection(5, ()).k == 1
