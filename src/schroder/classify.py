@@ -115,75 +115,108 @@ def _primitive_vectors(k: int, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*_primitive_array(k, bound).T.tolist()))
 
 
+# float64 holds every integer below this in absolute value exactly, so a
+# product of integer arrays whose partial sums all stay below it is exact
+# in any summation order.
+_EXACT = 2**53
+
+
+def _step_matrices(ring: RingPresentation, degree: int):
+    """Multiplication by each generator between graded staircase components.
+
+    `steps[d][i]`, for d < degree, is the matrix of multiplication by x_i
+    from the degree-d staircase monomials (rows, sorted) to those of degree
+    d + 1 (columns, sorted).  Multiplying x^e by x_i is a plain shift while
+    e_i + 1 < l_i; when e_i = l_i - 1 the product is x^rest * x_i^(l_i) with
+    rest_i = 0, which relation i rewrites to -x^rest * tail_i, and only those
+    rows need a reduction.  The maps are graded only when every relation is
+    homogeneous, all its tail monomials of degree l_i; for any other ring
+    the result is None.
+    """
+    ell = ring.staircase
+    if any(sum(texp) != l for tail, l in zip(ring._tails, ell) for texp, _ in tail):
+        return None
+    k = ring.k
+    basis = [(0,) * k]
+    steps = []
+    for _ in range(degree):
+        shifts = [
+            [e[:i] + (e[i] + 1,) + e[i + 1 :] if e[i] + 1 < ell[i] else None for i in range(k)]
+            for e in basis
+        ]
+        upper = sorted({s for row in shifts for s in row if s is not None})
+        index = {e: j for j, e in enumerate(upper)}
+        mats = [np.zeros((len(basis), len(upper))) for _ in range(k)]
+        for r, (e, row) in enumerate(zip(basis, shifts)):
+            for i, s in enumerate(row):
+                if s is not None:
+                    mats[i][r, index[s]] = 1
+                    continue
+                rest = e[:i] + (0,) + e[i + 1 :]
+                rewritten = IntPolynomial._raw(
+                    k,
+                    {
+                        tuple(a + b for a, b in zip(rest, texp)): -c
+                        for texp, c in ring._tails[i]
+                    },
+                )
+                for texp, c in normal_form(rewritten, ring).terms.items():
+                    mats[i][r, index[texp]] = c
+        steps.append(mats)
+        basis = upper
+    return steps
+
+
+def _growth(mats) -> int:
+    """Summed largest column norms: |(acc @ mats[i]) * c| summed over i stays
+    below max|acc| * max|c| * _growth(mats), partial sums included."""
+    return int(sum(np.abs(m).sum(axis=0).max(initial=0) for m in mats))
+
+
 def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     """Minimal p with alpha^p = 0, for every coefficient vector at once.
 
     Degrees above sum(l_i - 1) have no staircase monomials, so every form
     vanishes there and the answer is always at most that bound plus one.
     The p-th powers of all forms advance together through the graded
-    staircase components; multiplication by one generator is a linear map
-    between consecutive components, precomputed once per ring.  Work is
-    done in float64, so the products run on BLAS.  Before every step an
-    a-priori bound, max|acc| * max|coefficient| * the summed column norms of
-    the step's maps, caps every partial sum of the step below 2^53, so each
-    value is an exactly represented integer in any summation order; should
-    the bound fail, the remaining forms take an exact big-integer fallback.
+    staircase components, from degree 0, one `_step_matrices` step per
+    power.  Work is done in float64, so the products run on BLAS.  Before
+    every step an a-priori bound, max|acc| * max|coefficient| * `_growth`,
+    caps every partial sum of the step below 2^53, so each value is an
+    exactly represented integer in any summation order; should the bound
+    fail, the remaining forms take an exact big-integer fallback.  Rings
+    whose relations are not homogeneous have no graded steps and take that
+    exact path for every form.
     """
-    k = ring.k
-    top = sum(ring.staircase) - k
+    top = sum(ring.staircase) - ring.k
     exact = np.asarray(vectors)  # no copy when `vectors` is already an array
     if not len(exact):
         return []
-    if min(ring.staircase) < 2:
-        # Generators with staircase exponent one reduce away; the graded
-        # embedding below assumes none do.
+    steps = _step_matrices(ring, top)
+    if steps is None:
         return [
             min_vanishing_power(v, top + 1, ring) or top + 1 for v in exact.tolist()
         ]
-
-    by_degree: dict[int, list[tuple[int, ...]]] = {}
-    for exp in product(*(range(l) for l in ring.staircase)):
-        by_degree.setdefault(sum(exp), []).append(exp)
-    index = {
-        exp: j for d, exps in by_degree.items() for j, exp in enumerate(sorted(exps))
-    }
-    steps = []
-    for d in range(1, top):
-        mats = []
-        for i in range(k):
-            m = np.zeros((len(by_degree[d]), len(by_degree[d + 1])))
-            for exp in by_degree[d]:
-                prod_nf = normal_form(
-                    ring.variable(i) * IntPolynomial(k, {tuple(exp): 1}), ring
-                )
-                for texp, coef in prod_nf.terms.items():
-                    m[index[exp], index[texp]] = coef
-            mats.append(m)
-        steps.append(mats)
 
     box = int(np.abs(exact).max())
     alpha = exact.astype(np.float64)
     minp = np.full(len(exact), top + 1, dtype=np.int64)
     alive = np.arange(len(exact))
-    acc = np.zeros((len(exact), len(by_degree[1])))
-    for i in range(k):
-        acc[:, index[tuple(int(j == i) for j in range(k))]] = alpha[:, i]
-
+    acc = np.ones((len(exact), 1))  # alpha^0
     for p in range(1, top + 1):
+        mats = steps[p - 1]
+        if int(np.abs(acc).max()) * box * _growth(mats) >= _EXACT:
+            for v in alive:
+                minp[v] = min_vanishing_power(exact[v].tolist(), top + 1, ring)
+            break
+        acc = _advance(acc, mats, alpha[alive])  # alpha^p
         zero = ~acc.any(axis=1)
         if zero.any():
             minp[alive[zero]] = p
             alive = alive[~zero]
             acc = acc[~zero]
-        if not len(alive) or p == top:
+        if not len(alive):
             break
-        mats = steps[p - 1]
-        growth = int(sum(np.abs(m).sum(axis=0).max() for m in mats))
-        if int(np.abs(acc).max()) * box * growth >= 2**53:
-            for v in alive:
-                minp[v] = min_vanishing_power(exact[v].tolist(), top + 1, ring)
-            break
-        acc = _advance(acc, mats, alpha[alive])
     return [int(p) for p in minp]
 
 
@@ -339,6 +372,51 @@ def _maps_to_zero(source: SchroederPresentation, rows, target: SchroederPresenta
     )
 
 
+# Candidate rows whose relation check runs as one batch.  A witness in an
+# early block skips the later ones, and memory stays flat however large
+# (2 * bound + 1)^k grows.
+_BLOCK = 256
+
+
+@lru_cache(maxsize=None)
+def _candidate_array(k: int, bound: int) -> np.ndarray:
+    """Nonzero vectors in [-bound, bound]^k in search order, one per row.
+
+    Smallest l1 norm first, ties in decreasing lexicographic order;
+    memoised, so the array is read-only.
+    """
+    grid = np.indices((2 * bound + 1,) * k).reshape(k, -1).T - bound
+    grid = grid[grid.any(axis=1)]
+    out = grid[np.lexsort((*-grid[:, ::-1].T, np.abs(grid).sum(axis=1)))]
+    out.flags.writeable = False
+    return out
+
+
+def _relation_vanishes_batch(factors, i, rows, block, steps, growth):
+    """For each candidate row i in `block`, whether the relation maps to zero.
+
+    Each factor's image is affine in the candidate,
+    f[i] * cand + sum_{s != i} f[s] * rows[s], so the product of the images
+    advances through the target ring's graded steps for the whole block at
+    once, in float64 under the same 2^53 bound as the nilpotency table, with
+    `growth[d]` the `_growth` of `steps[d]`.  None when the bound rules the
+    batch out.
+    """
+    k = block.shape[1]
+    acc = np.ones((len(block), 1))
+    for mats, g, fvec in zip(steps, growth, factors):
+        fixed = [0] * k
+        for s, c in enumerate(fvec):
+            if c and s != i:
+                fixed = [a + c * b for a, b in zip(fixed, rows[s])]
+        images = fvec[i] * block + np.array(fixed, dtype=np.int64)
+        box = int(np.abs(images).max())
+        if int(np.abs(acc).max()) * box * g >= _EXACT:
+            return None
+        acc = _advance(acc, mats, images.astype(np.float64))
+    return ~acc.any(axis=1)
+
+
 def _gl_witness(
     sp1: SchroederPresentation, sp2: SchroederPresentation, bound: int
 ) -> tuple[tuple[int, ...], ...] | None:
@@ -347,32 +425,44 @@ def _gl_witness(
     Rows are the images of sp1 generators over sp2 generators, with entries
     in [-bound, bound].  Relation i of sp1 only involves generators i..k-1,
     so rows are assigned from the last upwards and each relation is checked
-    as soon as its row is placed; rank pruning discards dependent prefixes.
+    as soon as its row is placed, for a block of candidates at a time on
+    sp2's step matrices; the candidates that pass go on, in order, to rank
+    pruning, which discards dependent prefixes.
     """
     k = sp1.k
-    candidates = sorted(
-        (v for v in product(range(-bound, bound + 1), repeat=k) if any(v)),
-        key=lambda v: (sum(abs(c) for c in v), tuple(-c for c in v)),
-    )
+    candidates = _candidate_array(k, bound)
+    # sp2's relations are products of linear forms, so its steps are graded.
+    steps = _step_matrices(sp2, max(len(facs) for facs in sp1.factors))
+    growth = [_growth(mats) for mats in steps]
     rows: list[tuple[int, ...] | None] = [None] * k
 
     def place(i: int):
-        for cand in candidates:
-            rows[i] = cand
-            if rank(rows[i:]) != k - i:
-                continue
-            if not _mapped_relation_vanishes(sp1.factors[i], rows, sp2):
-                continue
-            if i:
-                found = place(i - 1)
-                if found:
-                    return found
-            else:
-                g = [list(r) for r in rows]
-                if abs(det(g)) == 1 and _maps_to_zero(
-                    sp2, unimodular_inverse(g), sp1
+        factors = sp1.factors[i]
+        for start in range(0, len(candidates), _BLOCK):
+            block = candidates[start : start + _BLOCK]
+            vanishes = _relation_vanishes_batch(
+                factors, i, rows, block, steps, growth
+            )
+            if vanishes is not None:
+                block = block[vanishes]
+            for cand in map(tuple, block.tolist()):
+                rows[i] = cand
+                if vanishes is None and not _mapped_relation_vanishes(
+                    factors, rows, sp2
                 ):
-                    return tuple(rows)
+                    continue
+                if rank(rows[i:]) != k - i:
+                    continue
+                if i:
+                    found = place(i - 1)
+                    if found:
+                        return found
+                else:
+                    g = [list(r) for r in rows]
+                    if abs(det(g)) == 1 and _maps_to_zero(
+                        sp2, unimodular_inverse(g), sp1
+                    ):
+                        return tuple(rows)
         rows[i] = None
         return None
 
@@ -401,14 +491,17 @@ def cohomology_isomorphic_bounded(
             "staircase exponent multisets differ: "
             f"{sorted(sp1.staircase)} vs {sorted(sp2.staircase)}",
         )
-    fp1, fp2 = _tree_fingerprint(t1, None), _tree_fingerprint(t2, None)
-    if fp1 != fp2:
+    # Equal codes give equal fingerprints by construction, so only trees of
+    # different classes have fingerprints worth comparing.
+    if canonical_code(t1) != canonical_code(t2):
+        fp1, fp2 = _tree_fingerprint(t1, None), _tree_fingerprint(t2, None)
         fields = [
             f
             for f in Fingerprint.__dataclass_fields__
             if getattr(fp1, f) != getattr(fp2, f)
         ]
-        return IsoVerdict("NO", f"fingerprints differ in {', '.join(fields)}")
+        if fields:
+            return IsoVerdict("NO", f"fingerprints differ in {', '.join(fields)}")
     witness = _gl_witness(sp1, sp2, bound) if bound else None
     if witness is not None:
         return IsoVerdict(

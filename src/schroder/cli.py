@@ -3,9 +3,9 @@
 Streams are JSON lines, single results are one JSON document, tables are
 TSV.  Identical invocations produce byte-identical output, so every
 subcommand enumerates and serializes in a fixed order.  Exit codes: 0 for
-success or YES, 1 for NO or a failed verification, 2 for usage errors or
-malformed input, 3 for UNKNOWN, 4 for an internal error (a failed self-check,
-i.e. a bug).  A reader that closes the pipe early (``| head``) cuts the
+success or YES, 1 for NO or a failed verification, 2 for usage errors,
+malformed input or an --out file that cannot be opened, 3 for UNKNOWN, 4 for
+an internal error (a failed self-check, i.e. a bug).  A reader that closes the pipe early (``| head``) cuts the
 output short but changes neither the exit code nor stderr.
 """
 
@@ -34,7 +34,8 @@ from .fan import is_fano
 
 
 class _InputError(Exception):
-    """Unusable command input: missing file, bad JSON, invalid dissection."""
+    """Unusable command input: missing file, bad JSON, invalid dissection,
+    an --out path that cannot be opened."""
 
 
 @contextlib.contextmanager
@@ -46,7 +47,11 @@ def _output(out: str | None):
     flush at interpreter exit can fail; the command skips to its end.
     """
     if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise _InputError(f"cannot write {out}: {exc}") from None
+        with fh:
             yield fh
         return
     try:

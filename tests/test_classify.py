@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +14,12 @@ import schroder.classify as classify
 from schroder.classify import (
     ThreeCellTree,
     _gl_witness,
+    _mapped_relation_vanishes,
+    _maps_to_zero,
     _nilpotency_table,
     _primitive_array,
     _primitive_vectors,
+    _step_matrices,
     _tree_fingerprint,
     cohomology_isomorphic_bounded,
     count_classes,
@@ -24,6 +28,7 @@ from schroder.classify import (
     verify_prop_further,
     verify_theorem1,
 )
+from schroder._matrix import det, rank, unimodular_inverse
 from schroder.cohomology import schroeder_presentation
 from schroder.combinatorics import (
     Dissection,
@@ -31,11 +36,17 @@ from schroder.combinatorics import (
     canonical_form,
     class_trees,
     dissection_to_tree,
+    dissection_trees,
     enumerate_dissections,
     riordan_table,
     tree_to_dissection,
 )
-from schroder.polyring import IntPolynomial, min_vanishing_power, normal_form
+from schroder.polyring import (
+    IntPolynomial,
+    RingPresentation,
+    min_vanishing_power,
+    normal_form,
+)
 
 RUNNING = Dissection(8, ((0, 3), (0, 7), (3, 7)))
 
@@ -158,6 +169,139 @@ def test_nilpotency_table_falls_back_exactly(monkeypatch, big, fallbacks):
     assert len(sent) == fallbacks
 
 
+def normal_form_steps(ring, degree):
+    """The step matrices as they were first built: one normal_form of
+    x_i * monomial per staircase monomial and generator."""
+    by_degree = {}
+    for exp in product(*(range(l) for l in ring.staircase)):
+        by_degree.setdefault(sum(exp), []).append(exp)
+    basis = [sorted(by_degree.get(d, [])) for d in range(degree + 1)]
+    steps = []
+    for d in range(degree):
+        index = {exp: j for j, exp in enumerate(basis[d + 1])}
+        mats = []
+        for i in range(ring.k):
+            m = np.zeros((len(basis[d]), len(basis[d + 1])))
+            for r, exp in enumerate(basis[d]):
+                prod_nf = normal_form(
+                    ring.variable(i) * IntPolynomial(ring.k, {exp: 1}), ring
+                )
+                for texp, coef in prod_nf.terms.items():
+                    m[r, index[texp]] = coef
+            mats.append(m)
+        steps.append(mats)
+    return steps
+
+
+def test_step_matrices_match_normal_form():
+    rings = [schroeder_presentation(tree) for n in range(1, 8) for tree in class_trees(n)]
+    for chained in (True, False):
+        for degrees in [(2, 2, 2), (3, 2, 4), (4, 3, 2), (2, 4, 3)]:
+            t = ThreeCellTree(chained, degrees)
+            rings += [schroeder_presentation(t.tree()), t.bottom_up_presentation()]
+    for ring in rings:
+        top = sum(ring.staircase) - ring.k
+        got, want = _step_matrices(ring, top), normal_form_steps(ring, top)
+        assert len(got) == len(want) == top
+        for mats, oracle in zip(got, want):
+            for m, o in zip(mats, oracle):
+                assert m.shape == o.shape
+                assert np.array_equal(m, o)
+
+
+# x0^2 + x1 is not homogeneous: reduction leaves the grading.  The second
+# ring is homogeneous with a staircase exponent of one, so x0 reduces away.
+X = [IntPolynomial.variable(3, i) for i in range(3)]
+NON_HOMOGENEOUS = RingPresentation(
+    ("x0", "x1", "x2"), (X[0] ** 2 + X[1], X[1] ** 2 + X[2], X[2] ** 3), (2, 2, 3)
+)
+UNIT_STAIRCASE = RingPresentation(
+    ("x0", "x1", "x2"),
+    (X[0] - X[1] + X[2], X[1] ** 2 + X[1] * X[2], X[2] ** 3),
+    (1, 2, 3),
+)
+
+
+@pytest.mark.parametrize("ring, graded", [(NON_HOMOGENEOUS, False), (UNIT_STAIRCASE, True)])
+def test_nilpotency_table_routes_by_homogeneity(ring, graded):
+    top = sum(ring.staircase) - ring.k
+    assert (_step_matrices(ring, top) is not None) == graded
+    vectors = _primitive_vectors(3, 2)
+    expected = [min_vanishing_power(v, top + 1, ring) or top + 1 for v in vectors]
+    assert _nilpotency_table(ring, vectors) == expected
+
+
+def per_candidate_witness(sp1, sp2, bound):
+    """The witness search as it was first written: every candidate row
+    takes its own rank test and its own normal_form chain."""
+    k = sp1.k
+    candidates = sorted(
+        (v for v in product(range(-bound, bound + 1), repeat=k) if any(v)),
+        key=lambda v: (sum(abs(c) for c in v), tuple(-c for c in v)),
+    )
+    rows = [None] * k
+
+    def place(i):
+        for cand in candidates:
+            rows[i] = cand
+            if rank(rows[i:]) != k - i:
+                continue
+            if not _mapped_relation_vanishes(sp1.factors[i], rows, sp2):
+                continue
+            if i:
+                found = place(i - 1)
+                if found:
+                    return found
+            else:
+                g = [list(r) for r in rows]
+                if abs(det(g)) == 1 and _maps_to_zero(
+                    sp2, unimodular_inverse(g), sp1
+                ):
+                    return tuple(rows)
+        rows[i] = None
+        return None
+
+    return place(k - 1)
+
+
+def class_pairs(n, k):
+    """(representative ring, member ring) for every member of every class."""
+    members = {}
+    for tree in dissection_trees(n, k):
+        members.setdefault(canonical_code(tree), []).append(tree)
+    for rep in class_trees(n, k):
+        sp1 = schroeder_presentation(rep)
+        for tree in members[canonical_code(rep)]:
+            yield sp1, schroeder_presentation(tree)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_batched_witness_matches_per_candidate_search(n):
+    for k in range(1, min(n, 4) + 1):
+        for sp1, sp2 in class_pairs(n, k):
+            for bound in (1, 2):
+                assert _gl_witness(sp1, sp2, bound) == per_candidate_witness(
+                    sp1, sp2, bound
+                )
+
+
+def test_witness_search_falls_back_per_candidate(monkeypatch):
+    # With the exactness limit at one, every batch trips the guard and each
+    # candidate takes the exact normal_form chain instead.
+    pairs = list(class_pairs(4, 4))[:6]
+    expected = [_gl_witness(sp1, sp2, 2) for sp1, sp2 in pairs]
+    sent = []
+
+    def counting(factors, rows, target):
+        sent.append(rows)
+        return _mapped_relation_vanishes(factors, rows, target)
+
+    monkeypatch.setattr(classify, "_EXACT", 1)
+    monkeypatch.setattr(classify, "_mapped_relation_vanishes", counting)
+    assert [_gl_witness(sp1, sp2, 2) for sp1, sp2 in pairs] == expected
+    assert sent
+
+
 # sha256 of [n, k, canonical code, repr(fingerprint)] for every class with
 # n <= 6, taken from the int64 nilpotency table, which needed no float
 # exactness argument.
@@ -252,6 +396,23 @@ def test_iso_builds_each_tree_once(monkeypatch):
     pentagon = Dissection(3, ((1, 4),)), Dissection(3, ((0, 3),))
     assert cohomology_isomorphic_bounded(*pentagon, 2).status == "YES"
     assert calls == list(pentagon)
+
+
+def test_same_class_iso_skips_fingerprints(monkeypatch):
+    tables = []
+
+    def counting(ring, vectors):
+        tables.append(ring)
+        return _nilpotency_table(ring, vectors)
+
+    monkeypatch.setattr(classify, "_nilpotency_table", counting)
+    monkeypatch.setattr(classify, "_fingerprint_cache", {})
+    mirror = Dissection(3, ((1, 3),)), Dissection(3, ((0, 2),))
+    assert cohomology_isomorphic_bounded(*mirror, 2).status == "YES"
+    assert tables == []
+    other = Dissection(3, ((1, 4),)), Dissection(3, ((2, 4),))
+    assert cohomology_isomorphic_bounded(*other, 2).status == "NO"
+    assert len(tables) == 2
 
 
 def test_verdict_no_on_cheap_invariants():

@@ -376,6 +376,29 @@ def test_out_flag_writes_identical_bytes(capsys, tmp_path):
         assert target.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "3"),
+        ("table", "--n", "3"),
+        ("cohomology", "{doc}"),
+        ("fano", "{doc}"),
+        ("classify", "--n", "3"),
+        ("iso", "{doc}", "{doc}"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unopenable_out_is_exit_two(capsys, tmp_path, argv):
+    doc = write(tmp_path, "d.json", RUNNING_DOC)
+    target = str(tmp_path / "missing" / "x.txt")
+    argv = [a.format(doc=doc) for a in argv]
+    code, out, err = run(capsys, *argv, "--out", target)
+    assert code == 2
+    assert not out
+    assert err.startswith(f"cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
 def schroder_process(*argv):
     """`python -m schroder ARGV` in a child with its three streams piped."""
     env = dict(os.environ)
