@@ -109,12 +109,6 @@ def _primitive_array(k: int, bound: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _primitive_vectors(k: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of _primitive_array(k, bound) as tuples of ints; memoised."""
-    return tuple(zip(*_primitive_array(k, bound).T.tolist()))
-
-
 # float64 holds every integer below this in absolute value exactly, so a
 # product of integer arrays whose partial sums all stay below it is exact
 # in any summation order.
@@ -130,8 +124,9 @@ def _step_matrices(ring: RingPresentation, degree: int):
     e_i + 1 < l_i; when e_i = l_i - 1 the product is x^rest * x_i^(l_i) with
     rest_i = 0, which relation i rewrites to -x^rest * tail_i, and only those
     rows need a reduction.  The maps are graded only when every relation is
-    homogeneous, all its tail monomials of degree l_i; for any other ring
-    the result is None.
+    homogeneous, all its tail monomials of degree l_i.  For any other ring,
+    and for one with an entry that float64 does not hold exactly, which
+    `_advance` could not take back to an integer, the result is None.
     """
     ell = ring.staircase
     if any(sum(texp) != l for tail, l in zip(ring._tails, ell) for texp, _ in tail):
@@ -161,6 +156,8 @@ def _step_matrices(ring: RingPresentation, degree: int):
                     },
                 )
                 for texp, c in normal_form(rewritten, ring).terms.items():
+                    if float(c) != c:
+                        return None
                     mats[i][r, index[texp]] = c
         steps.append(mats)
         basis = upper
@@ -179,37 +176,25 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     Degrees above sum(l_i - 1) have no staircase monomials, so every form
     vanishes there and the answer is always at most that bound plus one.
     The p-th powers of all forms advance together through the graded
-    staircase components, from degree 0, one `_step_matrices` step per
-    power.  Work is done in float64, so the products run on BLAS.  Before
-    every step an a-priori bound, max|acc| * max|coefficient| * `_growth`,
-    caps every partial sum of the step below 2^53, so each value is an
-    exactly represented integer in any summation order; should the bound
-    fail, the remaining forms take an exact big-integer fallback.  Rings
-    whose relations are not homogeneous have no graded steps and take that
-    exact path for every form.
+    staircase components, from degree 0, one `_step_matrices` step and one
+    exact `_advance` per power.  Rings whose relations are not homogeneous
+    have no graded steps and take the per-form polynomial path.
     """
     top = sum(ring.staircase) - ring.k
-    exact = np.asarray(vectors)  # no copy when `vectors` is already an array
-    if not len(exact):
+    forms = np.asarray(vectors)  # no copy when `vectors` is already an array
+    if not len(forms):
         return []
     steps = _step_matrices(ring, top)
     if steps is None:
         return [
-            min_vanishing_power(v, top + 1, ring) or top + 1 for v in exact.tolist()
+            min_vanishing_power(v, top + 1, ring) or top + 1 for v in forms.tolist()
         ]
 
-    box = int(np.abs(exact).max())
-    alpha = exact.astype(np.float64)
-    minp = np.full(len(exact), top + 1, dtype=np.int64)
-    alive = np.arange(len(exact))
-    acc = np.ones((len(exact), 1))  # alpha^0
-    for p in range(1, top + 1):
-        mats = steps[p - 1]
-        if int(np.abs(acc).max()) * box * _growth(mats) >= _EXACT:
-            for v in alive:
-                minp[v] = min_vanishing_power(exact[v].tolist(), top + 1, ring)
-            break
-        acc = _advance(acc, mats, alpha[alive])  # alpha^p
+    minp = np.full(len(forms), top + 1, dtype=np.int64)
+    alive = np.arange(len(forms))
+    acc = np.ones((len(forms), 1))  # alpha^0
+    for p, mats in enumerate(steps, 1):
+        acc = _advance(acc, mats, forms[alive], _growth(mats))  # alpha^p
         zero = ~acc.any(axis=1)
         if zero.any():
             minp[alive[zero]] = p
@@ -217,15 +202,31 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
             acc = acc[~zero]
         if not len(alive):
             break
-    return [int(p) for p in minp]
+    return minp.tolist()
 
 
-def _advance(acc, mats, coeffs):
-    """sum_i (acc @ mats[i]) * coeffs[:, i], one product per generator.
+def _advance(acc, mats, coeffs, growth):
+    """sum_i (acc @ mats[i]) * coeffs[:, i], exactly, one product per generator.
 
-    The products share one buffer and are summed in place, so a step holds
-    two arrays of the result's size besides `acc`, and none after it.
+    `coeffs` holds integers and `growth` is `_growth(mats)`.  Every partial
+    sum of the step stays below max|acc| * max|coeffs| * growth, so while
+    that bound is below 2^53 the step runs in float64 on BLAS and each value
+    is an exactly represented integer in any summation order.  Past it the
+    same sums are taken on Python ints in object arrays, and an object `acc`
+    keeps every later step there.  The products share one buffer and are
+    summed in place, so a step holds two arrays of the result's size besides
+    `acc`, and none after it.
     """
+    if acc.dtype != object and (
+        int(np.abs(acc).max()) * int(np.abs(coeffs).max()) * growth < _EXACT
+    ):
+        coeffs = coeffs.astype(np.float64)
+    else:
+        # Float entries here are integers below 2^53, so they convert exactly.
+        if acc.dtype != object:
+            acc = acc.astype(np.int64).astype(object)
+        mats = [m.astype(np.int64).astype(object) for m in mats]
+        coeffs = coeffs.astype(object)
     out = acc @ mats[0]
     out *= coeffs[:, :1]
     term = np.empty_like(out)
@@ -271,59 +272,36 @@ class Fingerprint:
         )
 
 
-_fingerprint_cache: dict[tuple[bytes, int], Fingerprint] = {}
-
-
-def fingerprint(d: Dissection, bound: int | None = None) -> Fingerprint:
+def fingerprint(d: Dissection) -> Fingerprint:
     """Fingerprint of the cohomology ring, computed on the canonical embedding.
 
     The nilpotency profile of a fixed presentation depends on the plane
     embedding of the tree, so all dissections in one isomorphism class are
     routed through the canonical representative; equal codes then give equal
-    fingerprints by construction.  The default bound is the largest
-    staircase exponent.
+    fingerprints by construction.  The bound is the largest staircase
+    exponent.
     """
-    return _tree_fingerprint(dissection_to_tree(d), bound)
+    return _tree_fingerprint(dissection_to_tree(d))
 
 
-def _tree_fingerprint(tree: SchroederTree, bound: int | None) -> Fingerprint:
-    """Fingerprint of the class of any plane tree, cached by canonical code.
-
-    The profile depends on the embedding, so a cache miss computes it on
-    the canonical form; every member of a class then gets the same value.
-    """
-    staircase = tuple(sorted(tree.arity(v) for v in tree.internal_preorder()))
-    if bound is None:
-        bound = staircase[-1]
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    key = (canonical_code(tree), bound)
-    cached = _fingerprint_cache.get(key)
-    if cached is not None:
-        return cached
-
+def _tree_fingerprint(tree: SchroederTree) -> Fingerprint:
+    """Fingerprint of the class of any plane tree, computed on its canonical
+    form, so every member of a class gets the same value."""
     tree = canonical_form(tree)
     ring = schroeder_presentation(tree)
-    floor = staircase[0]
-    vectors = _primitive_vectors(ring.k, bound)
-    powers = _nilpotency_table(ring, _primitive_array(ring.k, bound))
-    counts: dict[int, int] = {}
-    vanishing = []
-    for vec, p in zip(vectors, powers):
-        counts[p] = counts.get(p, 0) + 1
-        if p <= floor:
-            vanishing.append(vec)
-    fp = Fingerprint(
+    staircase = tuple(sorted(ring.staircase))
+    vectors = _primitive_array(ring.k, staircase[-1])
+    powers = np.array(_nilpotency_table(ring, vectors))
+    values, counts = np.unique(powers, return_counts=True)
+    return Fingerprint(
         k=ring.k,
-        bound=bound,
+        bound=staircase[-1],
         staircase=staircase,
         hilbert=hilbert_series(ring),
-        profile=tuple(sorted(counts.items())),
-        vanishing_rank=rank(vanishing),
+        profile=tuple(zip(values.tolist(), counts.tolist())),
+        vanishing_rank=rank(vectors[powers <= staircase[0]].tolist()),
         l_size=len(_bottoms(tree)),
     )
-    _fingerprint_cache[key] = fp
-    return fp
 
 
 @dataclass(frozen=True)
@@ -398,9 +376,8 @@ def _relation_vanishes_batch(factors, i, rows, block, steps, growth):
     Each factor's image is affine in the candidate,
     f[i] * cand + sum_{s != i} f[s] * rows[s], so the product of the images
     advances through the target ring's graded steps for the whole block at
-    once, in float64 under the same 2^53 bound as the nilpotency table, with
-    `growth[d]` the `_growth` of `steps[d]`.  None when the bound rules the
-    batch out.
+    once, one exact `_advance` per factor, with `growth[d]` the `_growth` of
+    `steps[d]`.
     """
     k = block.shape[1]
     acc = np.ones((len(block), 1))
@@ -410,10 +387,7 @@ def _relation_vanishes_batch(factors, i, rows, block, steps, growth):
             if c and s != i:
                 fixed = [a + c * b for a, b in zip(fixed, rows[s])]
         images = fvec[i] * block + np.array(fixed, dtype=np.int64)
-        box = int(np.abs(images).max())
-        if int(np.abs(acc).max()) * box * g >= _EXACT:
-            return None
-        acc = _advance(acc, mats, images.astype(np.float64))
+        acc = _advance(acc, mats, images, g)
     return ~acc.any(axis=1)
 
 
@@ -431,7 +405,8 @@ def _gl_witness(
     """
     k = sp1.k
     candidates = _candidate_array(k, bound)
-    # sp2's relations are products of linear forms, so its steps are graded.
+    # sp2's relations are products of linear forms, so its steps are graded;
+    # their entries are small (at most 30 over every class ring with n <= 9).
     steps = _step_matrices(sp2, max(len(facs) for facs in sp1.factors))
     growth = [_growth(mats) for mats in steps]
     rows: list[tuple[int, ...] | None] = [None] * k
@@ -440,17 +415,11 @@ def _gl_witness(
         factors = sp1.factors[i]
         for start in range(0, len(candidates), _BLOCK):
             block = candidates[start : start + _BLOCK]
-            vanishes = _relation_vanishes_batch(
-                factors, i, rows, block, steps, growth
-            )
-            if vanishes is not None:
-                block = block[vanishes]
+            block = block[
+                _relation_vanishes_batch(factors, i, rows, block, steps, growth)
+            ]
             for cand in map(tuple, block.tolist()):
                 rows[i] = cand
-                if vanishes is None and not _mapped_relation_vanishes(
-                    factors, rows, sp2
-                ):
-                    continue
                 if rank(rows[i:]) != k - i:
                     continue
                 if i:
@@ -494,7 +463,7 @@ def cohomology_isomorphic_bounded(
     # Equal codes give equal fingerprints by construction, so only trees of
     # different classes have fingerprints worth comparing.
     if canonical_code(t1) != canonical_code(t2):
-        fp1, fp2 = _tree_fingerprint(t1, None), _tree_fingerprint(t2, None)
+        fp1, fp2 = _tree_fingerprint(t1), _tree_fingerprint(t2)
         fields = [
             f
             for f in Fingerprint.__dataclass_fields__
@@ -684,9 +653,9 @@ def verify_prop_further(
     for tree in trees:
         ring = schroeder_presentation(tree)
         bottoms = _bottoms(tree)
-        vectors = _primitive_vectors(ring.k, ell)
-        table = _nilpotency_table(ring, _primitive_array(ring.k, ell))
-        powers = dict(zip(vectors, table))
+        vectors = _primitive_array(ring.k, ell)
+        table = _nilpotency_table(ring, vectors)
+        powers = dict(zip(map(tuple, vectors.tolist()), table))
         for i in range(ring.k):
             unit = tuple(int(t == i) for t in range(ring.k))
             if (powers[unit] <= ell) != (i in bottoms):
@@ -698,7 +667,7 @@ def verify_prop_further(
                 failures.append(
                     f"mixed form {vec} on {tree.shape} has vanishing power {p}"
                 )
-        data.append((_tree_fingerprint(tree, None), len(bottoms)))
+        data.append((_tree_fingerprint(tree), len(bottoms)))
 
     for i in range(len(data)):
         for j in range(i + 1, len(data)):

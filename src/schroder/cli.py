@@ -79,7 +79,7 @@ def _load_dissection(path: str) -> Dissection:
         raise _InputError(f"cannot read {path}: {exc}") from None
     try:
         return Dissection.from_json(json.loads(raw))
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, ValueError, TypeError, RecursionError) as exc:
         raise _InputError(f"not a dissection document ({path}): {exc}") from None
 
 

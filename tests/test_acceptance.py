@@ -11,7 +11,7 @@ import time
 
 from schroder.classify import (
     ThreeCellTree,
-    _primitive_vectors,
+    _primitive_array,
     verify_prop_further,
     verify_theorem1,
 )
@@ -221,7 +221,7 @@ def test_criterion_7_power_identities_and_nonexistence():
     ]
     for m1, m2, m3 in triples:
         bound = max(m1, m2, m3)
-        vectors = _primitive_vectors(3, bound)
+        vectors = _primitive_array(3, bound).tolist()
 
         # Chained rings: below the bottom degree no form vanishes early.
         ring = chained_ring(m1, m2, m3)

@@ -18,7 +18,6 @@ from schroder.classify import (
     _maps_to_zero,
     _nilpotency_table,
     _primitive_array,
-    _primitive_vectors,
     _step_matrices,
     _tree_fingerprint,
     cohomology_isomorphic_bounded,
@@ -109,26 +108,21 @@ def primitive_vectors_loop(k, bound):
 
 
 def test_primitive_vectors():
-    vecs = _primitive_vectors(2, 1)
-    assert set(vecs) == {(0, 1), (1, -1), (1, 0), (1, 1)}
-    assert (2, 4) not in _primitive_vectors(2, 4)
-    assert all(v in _primitive_vectors(2, 2) for v in vecs)
+    vecs = _primitive_array(2, 1).tolist()
+    assert sorted(vecs) == [[0, 1], [1, -1], [1, 0], [1, 1]]
+    assert [2, 4] not in _primitive_array(2, 4).tolist()
+    assert all(v in _primitive_array(2, 2).tolist() for v in vecs)
     # The last two cross the int8 range of the generated grid.
     for k, bound in [*product(range(1, 5), range(5)), (1, 64), (2, 64)]:
-        vecs = _primitive_vectors(k, bound)
-        assert list(vecs) == primitive_vectors_loop(k, bound)
+        vecs = _primitive_array(k, bound).tolist()
+        assert vecs == [list(v) for v in primitive_vectors_loop(k, bound)]
         assert all(type(c) is int for vec in vecs for c in vec)
 
 
 def test_primitive_vectors_are_memoised_and_immutable():
-    first = _primitive_vectors(3, 2)
-    assert _primitive_vectors(3, 2) == first
-    assert isinstance(first, tuple) and all(isinstance(v, tuple) for v in first)
-    with pytest.raises(TypeError):
-        first[0] = (1, 0, 0)
     array = _primitive_array(3, 2)
     assert _primitive_array(3, 2) is array
-    assert array.tolist() == [list(v) for v in first]
+    assert array.tolist() == [list(v) for v in primitive_vectors_loop(3, 2)]
     assert not array.flags.writeable
     with pytest.raises(ValueError):
         array[0, 0] = 0
@@ -138,11 +132,23 @@ def test_nilpotency_table_matches_one_at_a_time():
     for d in [RUNNING, as_dissection(ThreeCellTree(True, (3, 2, 4)))]:
         ring = schroeder_presentation(dissection_to_tree(d))
         top = sum(ring.staircase) - ring.k
-        vectors = _primitive_vectors(ring.k, 2)
+        vectors = _primitive_array(ring.k, 2).tolist()
         table = _nilpotency_table(ring, vectors)
         for vec, p in zip(vectors, table):
             assert p == (min_vanishing_power(vec, top + 1, ring) or top + 1)
         assert _nilpotency_table(ring, []) == []
+
+
+def recording_advance(monkeypatch):
+    """Patch `_advance` to keep every result; returns the list they go to."""
+    advance, results = classify._advance, []
+
+    def recording(*args):
+        results.append(advance(*args))
+        return results[-1]
+
+    monkeypatch.setattr(classify, "_advance", recording)
+    return results
 
 
 @pytest.mark.parametrize(
@@ -151,22 +157,36 @@ def test_nilpotency_table_matches_one_at_a_time():
 def test_nilpotency_table_falls_back_exactly(monkeypatch, big, fallbacks):
     # float64 holds integers exactly only below 2**53.  Forms with a large
     # coefficient pass that limit at the first step (2**53 + 1 is not even
-    # representable) or only after a few, and must then be finished on the
-    # exact path.  The number of forms sent there tells when the guard
-    # tripped: (0, 0, 0, 1) dies at p = 4, (0, 0, 1, 1) at p = 6.
+    # representable) or only after a few, and the products must then go on
+    # in Python ints.  The step that first returns an object array, and the
+    # number of forms still alive there, tell when the guard tripped:
+    # (0, 0, 0, 1) dies at p = 4, (0, 0, 1, 1) at p = 6.
     ring = schroeder_presentation(dissection_to_tree(RUNNING))
     top = sum(ring.staircase) - ring.k
     vectors = [(big, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1), (0, 1, -2, 0)]
     expected = [min_vanishing_power(v, top + 1, ring) or top + 1 for v in vectors]
-    sent = []
-
-    def counting(vec, cap, ring):
-        sent.append(vec)
-        return min_vanishing_power(vec, cap, ring)
-
-    monkeypatch.setattr(classify, "min_vanishing_power", counting)
+    results = recording_advance(monkeypatch)
     assert _nilpotency_table(ring, vectors) == expected
-    assert len(sent) == fallbacks
+    kinds = [out.dtype == object for out in results]
+    first = kinds.index(True)
+    assert first == {2**53 + 1: 0, 2**20: 2, 2**10: 4, 2**8: 6}[big]
+    assert all(kinds[first:])
+    assert len(results[first]) == fallbacks
+
+
+# x0 = (2**60 + 1) * x1 in this ring, and float64 rounds 2**60 + 1 to 2**60:
+# step matrices built from the rounded entry would make x0 - 2**60 * x1
+# vanish instead of x0 - (2**60 + 1) * x1.
+BIG = 2**60 + 1
+Y = [IntPolynomial.variable(2, i) for i in range(2)]
+WIDE_ENTRY = RingPresentation(("x0", "x1"), (Y[0] - BIG * Y[1], Y[1] ** 2), (1, 2))
+
+
+def test_nilpotency_table_keeps_wide_step_entries_exact():
+    vectors = [(1, 0), (0, 1), (1, -BIG), (1, -(BIG - 1))]
+    expected = [min_vanishing_power(v, 2, WIDE_ENTRY) or 2 for v in vectors]
+    assert expected == [2, 2, 1, 2]
+    assert _nilpotency_table(WIDE_ENTRY, vectors) == expected
 
 
 def normal_form_steps(ring, degree):
@@ -226,7 +246,7 @@ UNIT_STAIRCASE = RingPresentation(
 def test_nilpotency_table_routes_by_homogeneity(ring, graded):
     top = sum(ring.staircase) - ring.k
     assert (_step_matrices(ring, top) is not None) == graded
-    vectors = _primitive_vectors(3, 2)
+    vectors = _primitive_array(3, 2).tolist()
     expected = [min_vanishing_power(v, top + 1, ring) or top + 1 for v in vectors]
     assert _nilpotency_table(ring, vectors) == expected
 
@@ -285,21 +305,22 @@ def test_batched_witness_matches_per_candidate_search(n):
                 )
 
 
-def test_witness_search_falls_back_per_candidate(monkeypatch):
-    # With the exactness limit at one, every batch trips the guard and each
-    # candidate takes the exact normal_form chain instead.
+def test_witness_search_falls_back_exactly(monkeypatch):
+    # With the exactness limit at one, every product leaves float64 at its
+    # first step and the whole search runs on Python ints.
     pairs = list(class_pairs(4, 4))[:6]
     expected = [_gl_witness(sp1, sp2, 2) for sp1, sp2 in pairs]
-    sent = []
-
-    def counting(factors, rows, target):
-        sent.append(rows)
-        return _mapped_relation_vanishes(factors, rows, target)
-
     monkeypatch.setattr(classify, "_EXACT", 1)
-    monkeypatch.setattr(classify, "_mapped_relation_vanishes", counting)
+    results = recording_advance(monkeypatch)
     assert [_gl_witness(sp1, sp2, 2) for sp1, sp2 in pairs] == expected
-    assert sent
+    assert results and all(out.dtype == object for out in results)
+
+
+def test_fingerprints_match_on_python_ints(monkeypatch):
+    trees = [tree for n in range(1, 6) for tree in class_trees(n)]
+    expected = [_tree_fingerprint(tree) for tree in trees]
+    monkeypatch.setattr(classify, "_EXACT", 1)
+    assert [_tree_fingerprint(tree) for tree in trees] == expected
 
 
 # sha256 of [n, k, canonical code, repr(fingerprint)] for every class with
@@ -310,7 +331,7 @@ GOLDEN_FINGERPRINTS = "d37e4defa2cd43fc2c03235bb1377b3b9b0bb9d38d83217fd77dde784
 
 def test_golden_fingerprints():
     rows = [
-        [n, k, canonical_code(tree).hex(), repr(_tree_fingerprint(tree, None))]
+        [n, k, canonical_code(tree).hex(), repr(_tree_fingerprint(tree))]
         for n in range(1, 7)
         for k in range(1, n + 1)
         for tree in sorted(class_trees(n, k), key=canonical_code)
@@ -327,13 +348,8 @@ def test_fingerprint_is_a_class_invariant():
     assert left.k == 2
     assert left.staircase == (2, 3)
     assert sum(count for _, count in left.profile) == len(
-        _primitive_vectors(2, left.bound)
+        _primitive_array(2, left.bound)
     )
-
-
-def test_fingerprint_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        fingerprint(RUNNING, bound=0)
 
 
 def test_fingerprint_separates_the_three_cell_pair():
@@ -406,7 +422,6 @@ def test_same_class_iso_skips_fingerprints(monkeypatch):
         return _nilpotency_table(ring, vectors)
 
     monkeypatch.setattr(classify, "_nilpotency_table", counting)
-    monkeypatch.setattr(classify, "_fingerprint_cache", {})
     mirror = Dissection(3, ((1, 3),)), Dissection(3, ((0, 2),))
     assert cohomology_isomorphic_bounded(*mirror, 2).status == "YES"
     assert tables == []
@@ -469,9 +484,9 @@ def test_theorem1_reports():
 def test_theorem1_fingerprints_each_class_once(monkeypatch):
     calls = []
 
-    def counting(d, bound=None):
+    def counting(d):
         calls.append(d)
-        return fingerprint(d, bound)
+        return fingerprint(d)
 
     monkeypatch.setattr(classify, "fingerprint", counting)
     report = verify_theorem1(6, 3)

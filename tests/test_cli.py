@@ -138,11 +138,13 @@ def test_classify_with_witness_search(capsys):
 
 
 def test_malformed_input_is_exit_two(capsys, tmp_path):
-    bad = write(tmp_path, "bad.json", "not json at all")
-    code, out, err = run(capsys, "fano", bad)
-    assert code == 2
-    assert not out
-    assert "not a dissection" in err
+    for text in ("not json at all", "[" * 100000 + "]" * 100000):
+        bad = write(tmp_path, "bad.json", text)
+        for argv in (["fano", bad], ["iso", bad, bad]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert not out
+            assert "not a dissection" in err
     crossing = write(tmp_path, "x.json", '{"n": 3, "diagonals": [[0, 2], [1, 3]]}')
     code, _, err = run(capsys, "iso", crossing, crossing)
     assert code == 2
