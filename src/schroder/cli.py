@@ -11,12 +11,12 @@ output short but changes neither the exit code nor stderr.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .classify import cohomology_isomorphic_bounded, verify_theorem1
 from .cohomology import schroeder_presentation
@@ -31,6 +31,10 @@ from .combinatorics import (
 )
 from .errors import InternalError
 from .fan import is_fano
+
+
+# json.dumps(obj, sort_keys=True), without a new encoder for every call.
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 class _InputError(Exception):
@@ -94,7 +98,7 @@ def cmd_enumerate(args) -> int:
                 "diagonals": [list(e) for e in d.diagonals],
                 "tree": tree.to_json(),
             }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(_sorted_json(record) + "\n")
             count += 1
         ks = range(1, args.n + 1) if args.k is None else [args.k]
         if count != sum(kirkman_cayley(args.n, k) for k in ks):
@@ -115,13 +119,13 @@ def cmd_table(args) -> int:
 
 def cmd_cohomology(args) -> int:
     ring = schroeder_presentation(dissection_to_tree(_load_dissection(args.file)))
-    _emit(json.dumps(ring.to_json(), sort_keys=True) + "\n", args.out)
+    _emit(_sorted_json(ring.to_json()) + "\n", args.out)
     return 0
 
 
 def cmd_fano(args) -> int:
     certificate = is_fano(_load_dissection(args.file))
-    _emit(json.dumps(certificate.to_json(), sort_keys=True) + "\n", args.out)
+    _emit(_sorted_json(certificate.to_json()) + "\n", args.out)
     return 0 if certificate else 1
 
 
@@ -129,7 +133,7 @@ def cmd_iso(args) -> int:
     verdict = cohomology_isomorphic_bounded(
         _load_dissection(args.first), _load_dissection(args.second), args.bound
     )
-    _emit(json.dumps(verdict.to_json(), sort_keys=True) + "\n", args.out)
+    _emit(_sorted_json(verdict.to_json()) + "\n", args.out)
     return {"YES": 0, "NO": 1, "UNKNOWN": 3}[verdict.status]
 
 
@@ -165,62 +169,98 @@ def cmd_classify(args) -> int:
             "tables": tables,
             "reports": [r.to_json() for r in reports],
         }
-        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
+        _emit(_sorted_json(doc) + "\n", args.out)
     return 0 if all(r.ok for r in reports) else 1
 
 
+# Every subcommand, in help order: name -> (help, argument specs), a spec
+# being the arguments of one `add_argument` call.  Subcommand NAME runs
+# cmd_NAME, looked up when it is parsed, so a wrapped command is the one run.
+_DOC = "dissection JSON ('-' = stdin)"
+_N = ("--n", dict(type=int, required=True, help="polygon has n+2 vertices"))
+_K = ("--k", dict(type=int, help="only dissections with k cells"))
+_OUT = ("--out", dict(help="write to this file instead of stdout"))
+_FILE = ("file", dict(nargs="?", default="-", help=_DOC))
+_COMMANDS = {
+    "enumerate": ("stream all dissections as JSON lines", (_N, _K, _OUT)),
+    "table": ("TSV table of class counts per n and k", (
+        ("--n", dict(type=int, default=10, help="last row of the table")), _OUT)),
+    "cohomology": ("cohomology ring of one dissection", (_FILE, _OUT)),
+    "fano": ("Fano certificate of one dissection", (_FILE, _OUT)),
+    "classify": ("isomorphism class tables and verification", (
+        _N, _K,
+        ("--bound", dict(type=int, help="also search for witnesses within classes")),
+        ("--format", dict(choices=("json", "tsv"), default="tsv", help="output shape")),
+        _OUT)),
+    "iso": ("bounded ring isomorphism check for two dissections", (
+        ("first", dict(help=_DOC)), ("second", dict(help=_DOC)),
+        ("--bound", dict(type=int, default=2, help="coefficient bound for the search")),
+        _OUT)),
+}
+
+
+def _quick_parse(argv):
+    """The arguments of a plain invocation, exactly as argparse parses them.
+
+    Plain: a known subcommand, then exact flags, each with its value as the
+    next word, and positionals; no word but "-" starts with a dash.  Anything
+    else (help, abbreviations, --opt=value, --, usage errors) gives None.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    specs = _COMMANDS[argv[0]][1]
+    flags = {name: kw for name, kw in specs if name.startswith("--")}
+    slots = [(name, kw) for name, kw in specs if name not in flags]
+    fields = {name.lstrip("-"): kw.get("default") for name, kw in specs}
+    seen, words, rest = set(), [], iter(argv[1:])
+    for word in rest:
+        kw = flags.get(word)
+        value = word if kw is None else next(rest, "--")  # "--": no value left
+        if value.startswith("-") and value != "-":
+            return None
+        if kw is None:
+            words.append(value)
+            continue
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        fields[word[2:]] = value
+        seen.add(word)
+    least = sum("nargs" not in kw for _, kw in slots)
+    if not least <= len(words) <= len(slots) or any(
+        kw.get("required") and name not in seen for name, kw in flags.items()
+    ):
+        return None
+    fields.update(zip((name for name, _ in slots), words))
+    return SimpleNamespace(command=argv[0], func=globals()["cmd_" + argv[0]], **fields)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and kept: parsing never changes it."""
+def _build_parser():
+    """The argparse parser, for the invocations `_quick_parse` leaves:
+    built on first use and kept, since parsing never changes it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="schroder",
         description="Toric varieties from polygon dissections: enumeration, "
         "Fano certificates, cohomology rings, classification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="stream all dissections as JSON lines")
-    p.add_argument("--n", type=int, required=True, help="polygon has n+2 vertices")
-    p.add_argument("--k", type=int, help="only dissections with k cells")
-    p.add_argument("--out", help="write to this file instead of stdout")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("table", help="TSV table of class counts per n and k")
-    p.add_argument("--n", type=int, default=10, help="last row of the table")
-    p.add_argument("--out", help="write to this file instead of stdout")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("cohomology", help="cohomology ring of one dissection")
-    p.add_argument("file", nargs="?", default="-", help="dissection JSON ('-' = stdin)")
-    p.add_argument("--out", help="write to this file instead of stdout")
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("fano", help="Fano certificate of one dissection")
-    p.add_argument("file", nargs="?", default="-", help="dissection JSON ('-' = stdin)")
-    p.add_argument("--out", help="write to this file instead of stdout")
-    p.set_defaults(func=cmd_fano)
-
-    p = sub.add_parser("classify", help="isomorphism class tables and verification")
-    p.add_argument("--n", type=int, required=True, help="polygon has n+2 vertices")
-    p.add_argument("--k", type=int, help="only dissections with k cells")
-    p.add_argument("--bound", type=int, help="also search for witnesses within classes")
-    p.add_argument(
-        "--format", choices=("json", "tsv"), default="tsv", help="output shape"
-    )
-    p.add_argument("--out", help="write to this file instead of stdout")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("iso", help="bounded ring isomorphism check for two dissections")
-    p.add_argument("first", help="dissection JSON ('-' = stdin)")
-    p.add_argument("second", help="dissection JSON ('-' = stdin)")
-    p.add_argument("--bound", type=int, default=2, help="coefficient bound for the search")
-    p.add_argument("--out", help="write to this file instead of stdout")
-    p.set_defaults(func=cmd_iso)
+    for command, (help_text, specs) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kw in specs:
+            p.add_argument(name, **kw)
+        p.set_defaults(func=globals()["cmd_" + command])
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _quick_parse(argv) or _build_parser().parse_args(argv)
     if getattr(args, "n", 1) < 1:
         print("--n must be at least 1", file=sys.stderr)
         return 2

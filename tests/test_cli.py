@@ -319,6 +319,18 @@ def test_golden_document_stdout(capsys, tmp_path, command, doc, exit_code, diges
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_golden_calls_take_the_quick_path():
+    argvs = (
+        [list(argv) for argv, _, _ in GOLDEN]
+        + [["iso", *flags, "a.json", "b.json"] for _, _, flags, _, _ in GOLDEN_ISO]
+        + [[command, "d.json"] for command, _, _, _ in GOLDEN_DOC]
+    )
+    for argv in argvs:
+        quick = cli._quick_parse(argv)
+        assert quick is not None, argv
+        assert vars(quick) == vars(cli._build_parser().parse_args(argv))
+
+
 def _fan_triangulation(n):
     return json.dumps({"n": n, "diagonals": [[0, j] for j in range(2, n + 1)]})
 
@@ -401,17 +413,22 @@ def test_unopenable_out_is_exit_two(capsys, tmp_path, argv):
     assert err.count("\n") == 1
 
 
-def schroder_process(*argv):
-    """`python -m schroder ARGV` in a child with its three streams piped."""
+def child_env():
+    """The environment of a child interpreter that imports this schroder."""
     env = dict(os.environ)
     src = str(Path(schroder.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def schroder_process(*argv):
+    """`python -m schroder ARGV` in a child with its three streams piped."""
     return subprocess.Popen(
         [sys.executable, "-m", "schroder", *argv],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
 
 
@@ -439,11 +456,98 @@ def test_closed_pipe_exits_quietly(tmp_path):
     assert err == b""
 
 
+# sha256 of json.dumps([exit code, stdout, stderr]) at COLUMNS=80, the same
+# with and without the plain-invocation parser: help, usage errors, and an
+# abbreviation argparse accepts.  argparse's layout differs between Python
+# versions, so the digests hold for the Python the project tests on.
+GOLDEN_USAGE = [
+    (("--help",),
+     "553c68e856f81de9cbc42e408aede164975edd8e3e9598497c2cd968c342b0c5"),
+    (("enumerate", "--help"),
+     "d603c6ba7f2fbf77920c81894d50ef2ea3534f92841ddeddda7d97279b0e4f08"),
+    (("table", "--help"),
+     "fca5265d558431d624056a9bab3e4db16275a54dcae8c550967e6ce8877c7793"),
+    (("cohomology", "--help"),
+     "745ba0d28690c4a91948e4347ae84afffccb0dd35cca57fcfb03dbdab2714bf2"),
+    (("fano", "--help"),
+     "70c5991aff857200481ae32adf664b501a8c070afff2e413a2d7f2772845626a"),
+    (("classify", "--help"),
+     "a772151db85bb1cf080d1a2167360b0262fa57aa8d380196c8d76d74348b49fa"),
+    (("iso", "--help"),
+     "4982bcbdf60946a8eb04ab947ae9b507890912e7bc4ad4ef28cbd92afe08554d"),
+    ((),
+     "10079517716b924fd9811866fd2f44207754f7a10f411d49f37c11367455e076"),
+    (("frobnicate",),
+     "fc9e8a17e0cc6f14ec392eef6a9075e5e8cd842f32a7323f05d51376108fa091"),
+    (("enumerate",),
+     "538574ef58c7304ac34061b044e22fcc44da2985ba8594f54d17b4f617af2717"),
+    (("enumerate", "--n", "x"),
+     "962bb00e5ef7b5b826add252ccdef8bc44d0fa6ff04be5673a9ccefe19c4f6d0"),
+    (("classify", "--n", "3", "--format", "xml"),
+     "b5255b0f04dfd8c9a47ca3f1cf785348d66be4b79a1a9bf33a9bc4912b94da00"),
+    (("fano", "a.json", "b.json"),
+     "f08f7b959acb71cfa20c12fb1b86f81944f6ec93e64f87bd49b022e0694affc7"),
+    (("classify", "--n", "2", "--bou", "2"),
+     "c04d6d9b34b50a430e9b07be170e361ca6c20ada8e5f8ea6e5474a596d1414fc"),
+]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="digests of Python 3.11's argparse layout"
+)
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_USAGE, ids=[" ".join(a) or "(none)" for a, _ in GOLDEN_USAGE]
+)
+def test_golden_help_and_usage(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest() == digest
+
+
 def test_parser_is_built_once(capsys):
     cli._build_parser.cache_clear()
     assert run(capsys, "table", "--n", "2")[0] == 0
-    assert run(capsys, "table", "--n", "3")[0] == 0
+    assert cli._build_parser.cache_info().misses == 0
+    # --opt=value is left to argparse
+    assert run(capsys, "table", "--n=2")[0] == 0
+    assert run(capsys, "table", "--n=3")[0] == 0
     assert cli._build_parser.cache_info().misses == 1
+
+
+PENTAGON = '{"n":3,"diagonals":[[1,4]]}', '{"n":3,"diagonals":[[0,3]]}'
+FRESH_CALL = """
+import json, sys
+import schroder.cli as cli
+state = lambda: ["argparse" in sys.modules, cli._build_parser.cache_info().misses]
+code = cli.main(sys.argv[2:])
+plain = state()
+for n in "23":
+    cli.main(["table", "--n=" + n, "--out", sys.argv[1]])
+print(json.dumps([code, plain, state()]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--n", "3"], ["fano", "{a}"], ["iso", "{a}", "{b}"]],
+    ids=lambda argv: argv[0],
+)
+def test_plain_call_never_imports_argparse(tmp_path, argv):
+    # In a fresh interpreter: a plain call neither imports argparse nor builds
+    # the parser; two calls that need it build it once.
+    a, b = (write(tmp_path, f"{name}.json", doc) for name, doc in zip("ab", PENTAGON))
+    out = str(tmp_path / "out.txt")
+    argv = [word.format(a=a, b=b) for word in argv] + ["--out", out]
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CALL, out, *argv],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [0, [False, 0], [True, 1]]
 
 
 def test_enumerate_records_round_trip(capsys, tmp_path):
