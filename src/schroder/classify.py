@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from ._matrix import det, rank, unimodular_inverse
 from .combinatorics import (
     Dissection,
     SchroederTree,
+    _canonical_shapes,
     canonical_code,
     canonical_form,
     class_trees,
@@ -289,9 +289,17 @@ def _tree_fingerprint(tree: SchroederTree) -> Fingerprint:
     form, so every member of a class gets the same value."""
     tree = canonical_form(tree)
     ring = schroeder_presentation(tree)
+    vectors = _primitive_array(ring.k, max(ring.staircase))
+    table = _nilpotency_table(ring, vectors)
+    return _table_fingerprint(tree, ring, vectors, table)
+
+
+def _table_fingerprint(tree, ring, vectors, table) -> Fingerprint:
+    """Fingerprint of a canonical tree, given its ring and the nilpotency
+    table of `vectors`, the primitive forms bounded by the largest staircase
+    exponent."""
     staircase = tuple(sorted(ring.staircase))
-    vectors = _primitive_array(ring.k, staircase[-1])
-    powers = np.array(_nilpotency_table(ring, vectors))
+    powers = np.array(table)
     values, counts = np.unique(powers, return_counts=True)
     return Fingerprint(
         k=ring.k,
@@ -570,27 +578,6 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
     )
 
 
-@lru_cache(maxsize=None)
-def _uniform_shapes(ell: int, internal: int) -> tuple[tuple, ...]:
-    """All plane tree shapes with `internal` vertices of out-degree `ell`."""
-    if internal == 0:
-        return ((),)
-
-    def split(budget: int, slots: int):
-        if slots == 1:
-            yield (budget,)
-            return
-        for first in range(budget + 1):
-            for rest in split(budget - first, slots - 1):
-                yield (first,) + rest
-
-    out = []
-    for comp in split(internal - 1, ell):
-        for kids in product(*(_uniform_shapes(ell, c) for c in comp)):
-            out.append(kids)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class UniformTreeReport:
     """Result of the power check on trees with constant out-degree.
@@ -645,14 +632,13 @@ def verify_prop_further(
     if n_max is not None and n > n_max:
         raise ValueError(f"n = {n} exceeds the requested budget {n_max}")
 
-    groups = _group(SchroederTree(shape) for shape in _uniform_shapes(ell, internal))
-    trees = [canonical_form(groups[code][0]) for code in sorted(groups)]
-
     failures = []
     data = []
-    for tree in trees:
+    for _, shape in _canonical_shapes(n + 1, ell):
+        tree = SchroederTree(shape)
         ring = schroeder_presentation(tree)
         bottoms = _bottoms(tree)
+        # Every staircase exponent is ell, so these are the fingerprint's forms.
         vectors = _primitive_array(ring.k, ell)
         table = _nilpotency_table(ring, vectors)
         powers = dict(zip(map(tuple, vectors.tolist()), table))
@@ -667,7 +653,7 @@ def verify_prop_further(
                 failures.append(
                     f"mixed form {vec} on {tree.shape} has vanishing power {p}"
                 )
-        data.append((_tree_fingerprint(tree), len(bottoms)))
+        data.append((_table_fingerprint(tree, ring, vectors, table), len(bottoms)))
 
     for i in range(len(data)):
         for j in range(i + 1, len(data)):
@@ -680,7 +666,7 @@ def verify_prop_further(
         ell=ell,
         internal=internal,
         n=n,
-        class_count=len(trees),
+        class_count=len(data),
         l_sizes=tuple(d[1] for d in data),
         failures=tuple(failures),
     )

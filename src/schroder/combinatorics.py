@@ -319,8 +319,12 @@ def dissection_trees(n: int, k: int | None = None) -> list[SchroederTree]:
 
 
 @lru_cache(maxsize=None)
-def _canonical_shapes(n_leaves: int) -> tuple[tuple[bytes, tuple], ...]:
-    """(code, shape) of one canonical shape per unordered class, by code.
+def _canonical_shapes(
+    n_leaves: int, arity: int | None
+) -> tuple[tuple[bytes, tuple], ...]:
+    """(code, shape) of one canonical shape per unordered class, by code;
+    with an `arity`, only the classes whose internal vertices all have
+    exactly that many children.
 
     The children of a class form a multiset of smaller classes: a partition
     of the leaves into at least two parts (a non-increasing composition),
@@ -334,8 +338,12 @@ def _canonical_shapes(n_leaves: int) -> tuple[tuple[bytes, tuple], ...]:
     for parts in _compositions(n_leaves):
         if len(parts) < 2 or list(parts) != sorted(parts, reverse=True):
             continue
+        if arity is not None and len(parts) != arity:
+            continue
         picks = [
-            combinations_with_replacement(_canonical_shapes(size), len(list(group)))
+            combinations_with_replacement(
+                _canonical_shapes(size, arity), len(list(group))
+            )
             for size, group in groupby(parts)
         ]
         for pick in product(*picks):
@@ -355,7 +363,7 @@ def class_trees(n: int, k: int | None = None) -> list[SchroederTree]:
     """
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    trees = (SchroederTree(shape) for _, shape in _canonical_shapes(n + 1))
+    trees = (SchroederTree(shape) for _, shape in _canonical_shapes(n + 1, None))
     return [t for t in trees if k is None or t.internal_count == k]
 
 

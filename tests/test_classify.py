@@ -19,6 +19,7 @@ from schroder.classify import (
     _nilpotency_table,
     _primitive_array,
     _step_matrices,
+    _table_fingerprint,
     _tree_fingerprint,
     cohomology_isomorphic_bounded,
     count_classes,
@@ -31,6 +32,8 @@ from schroder._matrix import det, rank, unimodular_inverse
 from schroder.cohomology import schroeder_presentation
 from schroder.combinatorics import (
     Dissection,
+    SchroederTree,
+    _canonical_shapes,
     canonical_code,
     canonical_form,
     class_trees,
@@ -87,6 +90,32 @@ def test_classes_match_grouping_of_dissections():
             assert list(got) == sorted(got)
             for code, members in expected.items():
                 assert got[code] == canonical_form(dissection_to_tree(members[0]))
+
+
+def uniform_plane_shapes(ell, internal):
+    # Reference: every plane tree with `internal` vertices, each with `ell`
+    # children, built child by child.
+    if internal == 0:
+        return [()]
+    out = []
+    for comp in product(range(internal), repeat=ell):
+        if sum(comp) == internal - 1:
+            out += product(*(uniform_plane_shapes(ell, c) for c in comp))
+    return out
+
+
+def test_uniform_classes_match_grouping_of_plane_trees():
+    cases = [(ell, i) for ell in (2, 3) for i in range(1, 7)]
+    cases += [(ell, i) for ell in (4, 5) for i in range(1, 5)]
+    for ell, internal in cases:
+        groups: dict[bytes, list[SchroederTree]] = {}
+        for shape in uniform_plane_shapes(ell, internal):
+            tree = SchroederTree(shape)
+            groups.setdefault(canonical_code(tree), []).append(tree)
+        got = _canonical_shapes(internal * (ell - 1) + 1, ell)
+        assert [code for code, _ in got] == sorted(groups)
+        for code, shape in got:
+            assert SchroederTree(shape) == canonical_form(groups[code][0])
 
 
 def test_class_trees_per_cells_match_recurrence():
@@ -516,6 +545,29 @@ def test_uniform_tree_report():
     doc = report.to_json()
     assert doc["ok"] is True
     assert doc["ell"] == 3
+    # Classes come in canonical code order.
+    assert verify_prop_further(3, 5).l_sizes == (1, 2, 2, 3, 2, 3, 2, 3)
+
+
+def test_prop_further_builds_one_table_per_class(monkeypatch):
+    tables, prints = [], []
+
+    def counting(ring, vectors):
+        tables.append(ring)
+        return _nilpotency_table(ring, vectors)
+
+    def recording(tree, ring, vectors, table):
+        prints.append((tree, _table_fingerprint(tree, ring, vectors, table)))
+        return prints[-1][1]
+
+    monkeypatch.setattr(classify, "_nilpotency_table", counting)
+    monkeypatch.setattr(classify, "_table_fingerprint", recording)
+    report = verify_prop_further(3, 5)
+    assert report.ok
+    assert len(tables) == len(prints) == report.class_count == 8
+    monkeypatch.undo()
+    for tree, fp in prints:
+        assert fp == _tree_fingerprint(tree)
 
 
 def test_uniform_tree_preconditions():
