@@ -37,7 +37,6 @@ from .polyring import (
     IntPolynomial,
     RingPresentation,
     hilbert_series,
-    min_vanishing_power,
     normal_form,
 )
 
@@ -118,19 +117,23 @@ _EXACT = 2**53
 def _step_matrices(ring: RingPresentation, degree: int):
     """Multiplication by each generator between graded staircase components.
 
-    `steps[d][i]`, for d < degree, is the matrix of multiplication by x_i
-    from the degree-d staircase monomials (rows, sorted) to those of degree
-    d + 1 (columns, sorted).  Multiplying x^e by x_i is a plain shift while
-    e_i + 1 < l_i; when e_i = l_i - 1 the product is x^rest * x_i^(l_i) with
-    rest_i = 0, which relation i rewrites to -x^rest * tail_i, and only those
-    rows need a reduction.  The maps are graded only when every relation is
-    homogeneous, all its tail monomials of degree l_i.  For any other ring,
-    and for one with an entry that float64 does not hold exactly, which
-    `_advance` could not take back to an integer, the result is None.
+    `steps[d]`, for d < degree, is `(mats, growth)`: `mats[i]` is the matrix
+    of multiplication by x_i from the degree-d staircase monomials (rows,
+    sorted) to those of degree d + 1 (columns, sorted), and `growth` sums
+    the largest column norm of each, so |(acc @ mats[i]) * c| summed over i
+    stays below max|acc| * max|c| * growth, partial sums included.
+    Multiplying x^e by x_i is a plain shift while e_i + 1 < l_i; when
+    e_i = l_i - 1 the product is x^rest * x_i^(l_i) with rest_i = 0, which
+    relation i rewrites to -x^rest * tail_i, and only those rows need a
+    reduction.  The maps are graded only when every relation is homogeneous,
+    all its tail monomials of degree l_i, as the products of linear forms of
+    every tree presentation are.  Any other ring, and an entry that float64
+    does not hold exactly, which `_advance` could not take back to an
+    integer, raise InternalError: neither is ever rounded.
     """
     ell = ring.staircase
     if any(sum(texp) != l for tail, l in zip(ring._tails, ell) for texp, _ in tail):
-        return None
+        raise InternalError("step matrices need homogeneous relations")
     k = ring.k
     basis = [(0,) * k]
     steps = []
@@ -157,17 +160,12 @@ def _step_matrices(ring: RingPresentation, degree: int):
                 )
                 for texp, c in normal_form(rewritten, ring).terms.items():
                     if float(c) != c:
-                        return None
+                        raise InternalError(f"step entry {c} is not exact in float64")
                     mats[i][r, index[texp]] = c
-        steps.append(mats)
+        growth = int(sum(np.abs(m).sum(axis=0).max(initial=0) for m in mats))
+        steps.append((mats, growth))
         basis = upper
     return steps
-
-
-def _growth(mats) -> int:
-    """Summed largest column norms: |(acc @ mats[i]) * c| summed over i stays
-    below max|acc| * max|c| * _growth(mats), partial sums included."""
-    return int(sum(np.abs(m).sum(axis=0).max(initial=0) for m in mats))
 
 
 def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
@@ -177,24 +175,17 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     vanishes there and the answer is always at most that bound plus one.
     The p-th powers of all forms advance together through the graded
     staircase components, from degree 0, one `_step_matrices` step and one
-    exact `_advance` per power.  Rings whose relations are not homogeneous
-    have no graded steps and take the per-form polynomial path.
+    exact `_advance` per power.
     """
     top = sum(ring.staircase) - ring.k
     forms = np.asarray(vectors)  # no copy when `vectors` is already an array
     if not len(forms):
         return []
-    steps = _step_matrices(ring, top)
-    if steps is None:
-        return [
-            min_vanishing_power(v, top + 1, ring) or top + 1 for v in forms.tolist()
-        ]
-
     minp = np.full(len(forms), top + 1, dtype=np.int64)
     alive = np.arange(len(forms))
     acc = np.ones((len(forms), 1))  # alpha^0
-    for p, mats in enumerate(steps, 1):
-        acc = _advance(acc, mats, forms[alive], _growth(mats))  # alpha^p
+    for p, (mats, growth) in enumerate(_step_matrices(ring, top), 1):
+        acc = _advance(acc, mats, forms[alive], growth)  # alpha^p
         zero = ~acc.any(axis=1)
         if zero.any():
             minp[alive[zero]] = p
@@ -208,14 +199,14 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
 def _advance(acc, mats, coeffs, growth):
     """sum_i (acc @ mats[i]) * coeffs[:, i], exactly, one product per generator.
 
-    `coeffs` holds integers and `growth` is `_growth(mats)`.  Every partial
-    sum of the step stays below max|acc| * max|coeffs| * growth, so while
-    that bound is below 2^53 the step runs in float64 on BLAS and each value
-    is an exactly represented integer in any summation order.  Past it the
-    same sums are taken on Python ints in object arrays, and an object `acc`
-    keeps every later step there.  The products share one buffer and are
-    summed in place, so a step holds two arrays of the result's size besides
-    `acc`, and none after it.
+    `coeffs` holds integers and `growth` is the step's growth from
+    `_step_matrices`.  Every partial sum of the step stays below
+    max|acc| * max|coeffs| * growth, so while that bound is below 2^53 the
+    step runs in float64 on BLAS and each value is an exactly represented
+    integer in any summation order.  Past it the same sums are taken on
+    Python ints in object arrays, and an object `acc` keeps every later step
+    there.  The products share one buffer and are summed in place, so a step
+    holds two arrays of the result's size besides `acc`, and none after it.
     """
     if acc.dtype != object and (
         int(np.abs(acc).max()) * int(np.abs(coeffs).max()) * growth < _EXACT
@@ -378,24 +369,23 @@ def _candidate_array(k: int, bound: int) -> np.ndarray:
     return out
 
 
-def _relation_vanishes_batch(factors, i, rows, block, steps, growth):
+def _relation_vanishes_batch(factors, i, rows, block, steps):
     """For each candidate row i in `block`, whether the relation maps to zero.
 
     Each factor's image is affine in the candidate,
     f[i] * cand + sum_{s != i} f[s] * rows[s], so the product of the images
     advances through the target ring's graded steps for the whole block at
-    once, one exact `_advance` per factor, with `growth[d]` the `_growth` of
-    `steps[d]`.
+    once, one exact `_advance` per factor.
     """
     k = block.shape[1]
     acc = np.ones((len(block), 1))
-    for mats, g, fvec in zip(steps, growth, factors):
+    for (mats, growth), fvec in zip(steps, factors):
         fixed = [0] * k
         for s, c in enumerate(fvec):
             if c and s != i:
                 fixed = [a + c * b for a, b in zip(fixed, rows[s])]
         images = fvec[i] * block + np.array(fixed, dtype=np.int64)
-        acc = _advance(acc, mats, images, g)
+        acc = _advance(acc, mats, images, growth)
     return ~acc.any(axis=1)
 
 
@@ -416,16 +406,13 @@ def _gl_witness(
     # sp2's relations are products of linear forms, so its steps are graded;
     # their entries are small (at most 30 over every class ring with n <= 9).
     steps = _step_matrices(sp2, max(len(facs) for facs in sp1.factors))
-    growth = [_growth(mats) for mats in steps]
     rows: list[tuple[int, ...] | None] = [None] * k
 
     def place(i: int):
         factors = sp1.factors[i]
         for start in range(0, len(candidates), _BLOCK):
             block = candidates[start : start + _BLOCK]
-            block = block[
-                _relation_vanishes_batch(factors, i, rows, block, steps, growth)
-            ]
+            block = block[_relation_vanishes_batch(factors, i, rows, block, steps)]
             for cand in map(tuple, block.tolist()):
                 rows[i] = cand
                 if rank(rows[i:]) != k - i:
@@ -611,9 +598,7 @@ class UniformTreeReport:
         }
 
 
-def verify_prop_further(
-    ell: int, internal: int, n_max: int | None = None
-) -> UniformTreeReport:
+def verify_prop_further(ell: int, internal: int) -> UniformTreeReport:
     """Check the power dichotomy on trees with constant out-degree `ell`.
 
     For every class: the generators at vertices whose children are all
@@ -621,16 +606,13 @@ def verify_prop_further(
     linear form with at least two nonzero coefficients in [-ell, ell] has
     vanishing ell-th power.  Classes with different counts of such vertices
     must then be separated by ring data alone.  Requires ell >= 3 and at
-    least four internal vertices; `n_max` aborts early when the implied
-    number of leaves would exceed it.
+    least four internal vertices.
     """
     if ell <= 2:
         raise ValueError("the power dichotomy needs out-degree at least 3")
     if internal < 4:
         raise ValueError("at least four internal vertices are required")
     n = internal * (ell - 1)
-    if n_max is not None and n > n_max:
-        raise ValueError(f"n = {n} exceeds the requested budget {n_max}")
 
     failures = []
     data = []

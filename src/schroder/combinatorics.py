@@ -23,9 +23,9 @@ Path = tuple[int, ...]
 
 
 # Measuring a tree, its preorder, phi_labels and tree_to_dissection keep their
-# own stacks, and nesting keeps one of open spans, instead of recursing: a fan
-# triangulation of the (n+2)-gon gives a tree of depth n, which may exceed the
-# recursion limit.
+# own stacks, canonical codes walk the preorder backwards, and nesting keeps
+# one of open spans, instead of recursing: a fan triangulation of the
+# (n+2)-gon gives a tree of depth n, which may exceed the recursion limit.
 
 
 def _measure(shape) -> tuple[int, int]:
@@ -102,17 +102,6 @@ class SchroederTree:
             return [conv(c) for c in node] if node else 0
 
         return conv(self.shape)
-
-    @staticmethod
-    def from_json(doc) -> "SchroederTree":
-        def conv(node):
-            if node == 0:
-                return ()
-            if not isinstance(node, list):
-                raise ValueError(f"tree nodes must be 0 or lists, got {node!r}")
-            return tuple(conv(c) for c in node)
-
-        return SchroederTree(conv(doc))
 
 
 def _cross(d1: Edge, d2: Edge) -> bool:
@@ -346,10 +335,7 @@ def _canonical_shapes(
             )
             for size, group in groupby(parts)
         ]
-        for pick in product(*picks):
-            kids = sorted(sum(pick, ()), key=itemgetter(0))
-            code = bytes([len(kids)]) + b"".join(c for c, _ in kids)
-            out.append((code, tuple(shape for _, shape in kids)))
+        out += [_vertex(sum(pick, ())) for pick in product(*picks)]
     out.sort(key=itemgetter(0))
     return tuple(out)
 
@@ -382,13 +368,7 @@ def canonical_code(tree: SchroederTree) -> bytes:
     Child-count-prefixed encoding with child codes sorted bytewise; two trees
     get the same code exactly when they agree after forgetting child order.
     """
-    return _code(tree.shape)
-
-
-def _code(shape) -> bytes:
-    if len(shape) > 255:
-        raise ValueError("vertices with more than 255 children are unsupported")
-    return bytes([len(shape)]) + b"".join(sorted(_code(c) for c in shape))
+    return _canonical(tree)[0]
 
 
 def canonical_form(tree: SchroederTree) -> SchroederTree:
@@ -397,11 +377,28 @@ def canonical_form(tree: SchroederTree) -> SchroederTree:
     Children are sorted by canonical code at every vertex, so leaves come
     first and any internal child ends up rightmost.
     """
+    return SchroederTree(_canonical(tree)[1])
 
-    def canon(shape):
-        return tuple(sorted((canon(c) for c in shape), key=_code))
 
-    return SchroederTree(canon(tree.shape))
+def _vertex(kids) -> tuple[bytes, tuple]:
+    """(code, canonical shape) of a vertex from its children's pairs."""
+    if len(kids) > 255:
+        raise ValueError("vertices with more than 255 children are unsupported")
+    kids = sorted(kids, key=itemgetter(0))
+    return bytes([len(kids)]) + b"".join(c for c, _ in kids), tuple(s for _, s in kids)
+
+
+def _canonical(tree: SchroederTree) -> tuple[bytes, tuple]:
+    """(code, canonical shape) of the tree, one `_vertex` per vertex.
+
+    Reversed preorder meets every subtree's vertices right before its root,
+    so the pairs of a vertex's children are the last ones on the stack.
+    """
+    stack: list[tuple[bytes, tuple]] = []
+    for _, node in reversed(tree._walk()):
+        split = len(stack) - len(node)
+        stack[split:] = [_vertex(stack[split:])]
+    return stack[0]
 
 
 def kirkman_cayley(n: int, k: int) -> int:

@@ -84,26 +84,6 @@ class Fan:
             bad = next(c for c in self.max_cones if not all(0 <= i < m for i in c))
             raise FanStructureError(f"cone {sorted(bad)} uses unknown rays")
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "rays": [
-                {"edge": list(e), "vector": list(v)}
-                for e, v in zip(self.edges, self.rays)
-            ],
-            "max_cones": sorted(sorted(c) for c in self.max_cones),
-        }
-
-    @staticmethod
-    def from_json(doc) -> "Fan":
-        try:
-            edges = tuple((int(r["edge"][0]), int(r["edge"][1])) for r in doc["rays"])
-            rays = tuple(tuple(int(x) for x in r["vector"]) for r in doc["rays"])
-            cones = frozenset(frozenset(c) for c in doc["max_cones"])
-            return Fan(int(doc["n"]), edges, rays, cones)
-        except (KeyError, TypeError, IndexError) as exc:
-            raise FanStructureError(f"malformed fan document: {exc}") from exc
-
 
 def build_fan_direct(d: Dissection) -> Fan:
     """Write the maximal cones down cell by cell.

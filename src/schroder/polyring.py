@@ -201,15 +201,6 @@ class IntPolynomial:
             ],
         }
 
-    @staticmethod
-    def from_json(doc) -> "IntPolynomial":
-        if not isinstance(doc, dict) or "vars" not in doc or "terms" not in doc:
-            raise ValueError("polynomial documents need 'vars' and 'terms' keys")
-        nvars = len(doc["vars"])
-        return IntPolynomial(
-            nvars, [(tuple(t["exp"]), t["coef"]) for t in doc["terms"]]
-        )
-
 
 @dataclass(frozen=True)
 class RingPresentation:
@@ -288,18 +279,6 @@ class RingPresentation:
             "relations": [r.to_json(self.gens) for r in self.relations],
             "staircase": list(self.staircase),
         }
-
-    @staticmethod
-    def from_json(doc) -> "RingPresentation":
-        if not isinstance(doc, dict) or not {"gens", "relations", "staircase"} <= set(doc):
-            raise ValueError(
-                "presentation documents need 'gens', 'relations' and 'staircase'"
-            )
-        return RingPresentation(
-            tuple(doc["gens"]),
-            tuple(IntPolynomial.from_json(r) for r in doc["relations"]),
-            tuple(doc["staircase"]),
-        )
 
 
 def normal_form(p: IntPolynomial, r: RingPresentation) -> IntPolynomial:

@@ -43,6 +43,7 @@ from schroder.combinatorics import (
     riordan_table,
     tree_to_dissection,
 )
+from schroder.errors import InternalError
 from schroder.polyring import (
     IntPolynomial,
     RingPresentation,
@@ -69,6 +70,25 @@ def test_variety_isomorphism_is_mirror_blind():
     assert variety_isomorphic(left, mirror)
     assert not variety_isomorphic(left, right)
     assert variety_isomorphic(RUNNING, RUNNING)
+
+
+def test_canonical_pass_takes_deep_trees():
+    # The fan triangulation from vertex 0 is a chain of depth n, far deeper
+    # than the recursion limit: every internal vertex has a leaf and the
+    # rest of the chain as children.
+    n = 1500
+    fan = Dissection(n, tuple((0, j) for j in range(2, n + 1)))
+    mirror = Dissection(n, tuple((j, n + 1) for j in range(1, n)))
+    split = Dissection(n, tuple((0, j) for j in range(2, n)) + ((n - 1, n + 1),))
+    tree = dissection_to_tree(fan)
+    assert canonical_code(tree) == b"\x02\x00" * n + b"\x00"
+    node = canonical_form(tree).shape
+    for _ in range(n):
+        assert len(node) == 2 and node[0] == ()
+        node = node[1]
+    assert node == ()
+    assert variety_isomorphic(fan, mirror)
+    assert not variety_isomorphic(fan, split)
 
 
 def test_class_counts_match_recurrence():
@@ -212,10 +232,18 @@ WIDE_ENTRY = RingPresentation(("x0", "x1"), (Y[0] - BIG * Y[1], Y[1] ** 2), (1, 
 
 
 def test_nilpotency_table_keeps_wide_step_entries_exact():
+    # The table refuses the ring rather than answer from a rounded entry.
     vectors = [(1, 0), (0, 1), (1, -BIG), (1, -(BIG - 1))]
     expected = [min_vanishing_power(v, 2, WIDE_ENTRY) or 2 for v in vectors]
     assert expected == [2, 2, 1, 2]
-    assert _nilpotency_table(WIDE_ENTRY, vectors) == expected
+    with pytest.raises(InternalError, match="not exact in float64"):
+        _nilpotency_table(WIDE_ENTRY, vectors)
+
+
+def test_witness_search_refuses_wide_step_entries():
+    sp1 = schroeder_presentation(dissection_to_tree(Dissection(3, ((1, 3),))))
+    with pytest.raises(InternalError, match="not exact in float64"):
+        _gl_witness(sp1, WIDE_ENTRY, 1)
 
 
 def normal_form_steps(ring, degree):
@@ -252,14 +280,16 @@ def test_step_matrices_match_normal_form():
         top = sum(ring.staircase) - ring.k
         got, want = _step_matrices(ring, top), normal_form_steps(ring, top)
         assert len(got) == len(want) == top
-        for mats, oracle in zip(got, want):
+        for (mats, growth), oracle in zip(got, want):
             for m, o in zip(mats, oracle):
                 assert m.shape == o.shape
                 assert np.array_equal(m, o)
+            assert growth == sum(max(np.abs(o).sum(axis=0), default=0) for o in oracle)
 
 
-# x0^2 + x1 is not homogeneous: reduction leaves the grading.  The second
-# ring is homogeneous with a staircase exponent of one, so x0 reduces away.
+# x0^2 + x1 is not homogeneous: reduction leaves the grading, and the table
+# refuses the ring.  The second ring is homogeneous with a staircase exponent
+# of one, so x0 reduces away.
 X = [IntPolynomial.variable(3, i) for i in range(3)]
 NON_HOMOGENEOUS = RingPresentation(
     ("x0", "x1", "x2"), (X[0] ** 2 + X[1], X[1] ** 2 + X[2], X[2] ** 3), (2, 2, 3)
@@ -274,8 +304,13 @@ UNIT_STAIRCASE = RingPresentation(
 @pytest.mark.parametrize("ring, graded", [(NON_HOMOGENEOUS, False), (UNIT_STAIRCASE, True)])
 def test_nilpotency_table_routes_by_homogeneity(ring, graded):
     top = sum(ring.staircase) - ring.k
-    assert (_step_matrices(ring, top) is not None) == graded
     vectors = _primitive_array(3, 2).tolist()
+    if not graded:
+        with pytest.raises(InternalError, match="homogeneous"):
+            _step_matrices(ring, top)
+        with pytest.raises(InternalError, match="homogeneous"):
+            _nilpotency_table(ring, vectors)
+        return
     expected = [min_vanishing_power(v, top + 1, ring) or top + 1 for v in vectors]
     assert _nilpotency_table(ring, vectors) == expected
 
@@ -575,8 +610,6 @@ def test_uniform_tree_preconditions():
         verify_prop_further(2, 4)
     with pytest.raises(ValueError):
         verify_prop_further(3, 3)
-    with pytest.raises(ValueError):
-        verify_prop_further(3, 5, n_max=8)
 
 
 def test_three_cell_trees():

@@ -156,13 +156,6 @@ def test_fan_validation():
         )
 
 
-def test_fan_json_roundtrip():
-    fan = build_fan_direct(RUNNING)
-    assert Fan.from_json(fan.to_json()) == fan
-    with pytest.raises(FanStructureError):
-        Fan.from_json({"n": 2})
-
-
 def test_collections_are_the_cells():
     edges = edge_order(RUNNING)
     colls = primitive_collections(RUNNING)
