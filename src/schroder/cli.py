@@ -22,9 +22,9 @@ from .classify import cohomology_isomorphic_bounded, verify_theorem1
 from .cohomology import schroeder_presentation
 from .combinatorics import (
     Dissection,
+    _dissection_records,
     class_trees,
     dissection_to_tree,
-    dissection_trees,
     kirkman_cayley,
     riordan_table,
     tree_to_dissection,
@@ -33,8 +33,9 @@ from .errors import InternalError
 from .fan import is_fano
 
 
-# json.dumps(obj, sort_keys=True), without a new encoder for every call.
-_sorted_json = json.JSONEncoder(sort_keys=True).encode
+# json.dumps(obj, sort_keys=True), without a new encoder for every call or
+# the circular-reference check: every document is a fresh tree of lists/dicts.
+_sorted_json = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 class _InputError(Exception):
@@ -91,13 +92,8 @@ def cmd_enumerate(args) -> int:
     """Write each record as soon as it is made, then the count trailer."""
     with _output(args.out) as fh:
         count = 0
-        for tree in dissection_trees(args.n, args.k):
-            d = tree_to_dissection(tree)
-            record = {
-                "n": d.n,
-                "diagonals": [list(e) for e in d.diagonals],
-                "tree": tree.to_json(),
-            }
+        for diagonals, tree in _dissection_records(args.n, args.k):
+            record = {"n": args.n, "diagonals": diagonals, "tree": tree}
             fh.write(_sorted_json(record) + "\n")
             count += 1
         ks = range(1, args.n + 1) if args.k is None else [args.k]

@@ -22,7 +22,7 @@ Edge = tuple[int, int]
 Path = tuple[int, ...]
 
 
-# Measuring a tree, its preorder, phi_labels and tree_to_dissection keep their
+# Measuring a tree, its preorder, phi_labels and the label walk keep their
 # own stacks, canonical codes walk the preorder backwards, and nesting keeps
 # one of open spans, instead of recursing: a fan triangulation of the
 # (n+2)-gon gives a tree of depth n, which may exceed the recursion limit.
@@ -97,11 +97,38 @@ class SchroederTree:
 
     def to_json(self):
         """Nested-array form: a leaf is 0, an internal vertex a list."""
+        return _label_walk(self.shape)[1]
 
-        def conv(node):
-            return [conv(c) for c in node] if node else 0
 
-        return conv(self.shape)
+def _label_walk(shape) -> tuple[list[list[int]], object]:
+    """The [enter, leave] leaf counts of every internal vertex in preorder,
+    and the nested-array form of the shape, from one walk.
+
+    An internal vertex's counts are its phi_labels pair; preorder lists the
+    pairs by (left end, -right end), the root's (0, leaves) first.
+    """
+    labels: list[list[int]] = []
+    seen = 0
+    top: list = []
+    # Per open vertex: its children not yet met, its array, its label.
+    stack = [(iter((shape,)), top, None)]
+    while stack:
+        kids, array, label = stack[-1]
+        for node in kids:
+            if node:
+                opened = [seen, 0]
+                labels.append(opened)
+                sub: list = []
+                array.append(sub)
+                stack.append((iter(node), sub, opened))
+                break
+            array.append(0)
+            seen += 1
+        else:
+            stack.pop()
+            if label is not None:
+                label[1] = seen
+    return labels, top[0]
 
 
 def _cross(d1: Edge, d2: Edge) -> bool:
@@ -126,14 +153,7 @@ class Dissection:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         diags = sorted({(int(i), int(j)) for i, j in self.diagonals})
         object.__setattr__(self, "diagonals", tuple(diags))
-        for i, j in self.diagonals:
-            if not (0 <= i < j <= self.n + 1):
-                raise ValueError(f"diagonal {(i, j)} out of range for n={self.n}")
-            if j - i == 1:
-                raise ValueError(f"{(i, j)} is a polygon side, not a diagonal")
-            if (i, j) == (0, self.n + 1):
-                raise ValueError("the distinguished edge {0, n+1} is not a diagonal")
-        _nest_diagonals(self.n, self.diagonals)  # raises on a crossing
+        _check_diagonals(self.n, self.diagonals)
 
     @property
     def k(self) -> int:
@@ -180,6 +200,19 @@ def phi_labels(tree: SchroederTree) -> dict[Path, Edge]:
         if node:
             labels[path] = (labels[path + (0,)][0], labels[path + (len(node) - 1,)][1])
     return labels
+
+
+def _check_diagonals(n: int, diagonals) -> None:
+    """Raise ValueError unless the distinct pairs `diagonals` are the
+    diagonals of a dissection of the polygon on 0..n+1."""
+    for i, j in diagonals:
+        if not (0 <= i < j <= n + 1):
+            raise ValueError(f"diagonal {(i, j)} out of range for n={n}")
+        if j - i == 1:
+            raise ValueError(f"{(i, j)} is a polygon side, not a diagonal")
+        if i == 0 and j == n + 1:
+            raise ValueError("the distinguished edge {0, n+1} is not a diagonal")
+    _nest_diagonals(n, diagonals)  # raises on a crossing
 
 
 def _nest_diagonals(n: int, diagonals) -> dict[Edge, list[Edge]]:
@@ -241,26 +274,10 @@ def dissection_to_tree(d: Dissection) -> SchroederTree:
 
 
 def tree_to_dissection(tree: SchroederTree) -> Dissection:
-    """Inverse of dissection_to_tree: internal non-root labels are the diagonals.
-
-    One walk counts the leaves; an internal vertex is labeled with the
-    counts on entering and on leaving it, which is its phi_labels pair.
-    """
+    """Inverse of dissection_to_tree: internal non-root labels are the diagonals."""
     if tree.n_leaves < 2:
         raise ValueError("a single-leaf tree has no associated polygon")
-    labels: list[list[int]] = []
-    seen = 0
-    stack = [tree.shape]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, int):  # leaving the internal vertex labels[node]
-            labels[node][1] = seen
-        elif node:
-            stack.append(len(labels))
-            labels.append([seen, 0])
-            stack += node[::-1]
-        else:
-            seen += 1
+    labels, _ = _label_walk(tree.shape)
     return Dissection(tree.n_leaves - 1, tuple(map(tuple, labels[1:])))
 
 
@@ -274,17 +291,20 @@ def _compositions(total: int):
             yield (first,) + rest
 
 
+def _plane_shapes(n_leaves: int):
+    """The shapes of enumerate_trees(n_leaves), made one at a time from the
+    memoised shapes of the root's children."""
+    if n_leaves == 1:
+        yield ()
+        return
+    for comp in _compositions(n_leaves):
+        if len(comp) >= 2:
+            yield from product(*map(_shapes, comp))
+
+
 @lru_cache(maxsize=None)
 def _shapes(n_leaves: int) -> tuple:
-    if n_leaves == 1:
-        return ((),)
-    out = []
-    for comp in _compositions(n_leaves):
-        if len(comp) < 2:
-            continue
-        for kids in product(*(_shapes(c) for c in comp)):
-            out.append(kids)
-    return tuple(out)
+    return tuple(_plane_shapes(n_leaves))
 
 
 def enumerate_trees(n_leaves: int) -> list[SchroederTree]:
@@ -307,6 +327,40 @@ def dissection_trees(n: int, k: int | None = None) -> list[SchroederTree]:
     return [t for t in enumerate_trees(n + 1) if k is None or t.internal_count == k]
 
 
+def _dissection_records(n: int, k: int | None = None):
+    """(diagonals, nested-array tree) of each dissection_trees(n, k) member,
+    in that order, without building trees or dissections.
+
+    The diagonals are sorted [i, j] lists; they pass the checks Dissection
+    makes.
+    """
+    for shape in _plane_shapes(n + 1):
+        labels, tree = _label_walk(shape)
+        if k is None or len(labels) == k:
+            diagonals = labels[1:]
+            _check_diagonals(n, diagonals)
+            diagonals.sort()
+            yield diagonals, tree
+
+
+def _partitions(total: int, largest: int, parts: int | None):
+    """Non-increasing tuples of parts <= `largest` that sum to `total`, with
+    exactly `parts` of them if given; every branch taken yields one."""
+    if not total:
+        if not parts:
+            yield ()
+        return
+    if parts is None:
+        low, high = 1, min(largest, total)
+    elif parts:
+        low, high = -(-total // parts), min(largest, total - parts + 1)
+    else:
+        return
+    for first in range(high, low - 1, -1):
+        for rest in _partitions(total - first, first, parts and parts - 1):
+            yield (first,) + rest
+
+
 @lru_cache(maxsize=None)
 def _canonical_shapes(
     n_leaves: int, arity: int | None
@@ -324,11 +378,7 @@ def _canonical_shapes(
     if n_leaves == 1:
         return ((b"\x00", ()),)
     out = []
-    for parts in _compositions(n_leaves):
-        if len(parts) < 2 or list(parts) != sorted(parts, reverse=True):
-            continue
-        if arity is not None and len(parts) != arity:
-            continue
+    for parts in _partitions(n_leaves, n_leaves - 1, arity):
         picks = [
             combinations_with_replacement(
                 _canonical_shapes(size, arity), len(list(group))
@@ -393,12 +443,19 @@ def _canonical(tree: SchroederTree) -> tuple[bytes, tuple]:
 
     Reversed preorder meets every subtree's vertices right before its root,
     so the pairs of a vertex's children are the last ones on the stack.
+    Only the nodes are kept, not their paths, and children are visited
+    right to left, since `_vertex` sorts them anyway.
     """
-    stack: list[tuple[bytes, tuple]] = []
-    for _, node in reversed(tree._walk()):
-        split = len(stack) - len(node)
-        stack[split:] = [_vertex(stack[split:])]
-    return stack[0]
+    preorder, stack = [], [tree.shape]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack += node
+    pairs: list[tuple[bytes, tuple]] = []
+    for node in reversed(preorder):
+        split = len(pairs) - len(node)
+        pairs[split:] = [_vertex(pairs[split:])]
+    return pairs[0]
 
 
 def kirkman_cayley(n: int, k: int) -> int:

@@ -209,6 +209,16 @@ GOLDEN = [
         1,
         "7d2476268a32f55ff741359ee223669c852010759ccaa4cdbdf98104d5c33934",
     ),
+    (
+        ("enumerate", "--n", "7", "--k", "3"),
+        0,
+        "71231535485ad7dd72018a2090b1733b86fbffc8db245a040c13dc8832ebe5e0",
+    ),
+    (
+        ("enumerate", "--n", "1"),
+        0,
+        "f7c9ba4cc856b469a0130ad3996d4ec0de7cb7c5456faf37086d7c33ed6b4b28",
+    ),
 ]
 
 

@@ -9,9 +9,14 @@ from hypothesis import given, strategies as st
 from schroder.combinatorics import (
     Dissection,
     SchroederTree,
+    _check_diagonals,
+    _compositions,
+    _dissection_records,
+    _partitions,
     canonical_code,
     canonical_form,
     dissection_to_tree,
+    dissection_trees,
     enumerate_dissections,
     enumerate_trees,
     kirkman_cayley,
@@ -56,6 +61,24 @@ def test_enumeration_matches_brute_force(n):
     expected = brute_force_dissections(n)
     produced = {frozenset(d.diagonals) for d in enumerate_dissections(n)}
     assert produced == expected
+
+
+def nested_array(shape):
+    # Reference: the recursive conversion, for trees within the recursion limit.
+    return [nested_array(c) for c in shape] if shape else 0
+
+
+def test_records_match_trees_and_dissections():
+    for n in range(1, 8):
+        for k in [None, *range(1, n + 1)]:
+            expected = [
+                (
+                    [list(e) for e in tree_to_dissection(t).diagonals],
+                    nested_array(t.shape),
+                )
+                for t in dissection_trees(n, k)
+            ]
+            assert list(_dissection_records(n, k)) == expected
 
 
 def test_enumeration_counts_match_closed_form():
@@ -133,14 +156,18 @@ def test_preorder_visits_root_first_children_left_to_right():
 
 
 def test_dissection_validation():
-    with pytest.raises(ValueError, match="cross"):
-        Dissection(3, ((0, 2), (1, 3)))
-    with pytest.raises(ValueError, match="side"):
-        Dissection(3, ((1, 2),))
-    with pytest.raises(ValueError, match="distinguished"):
-        Dissection(3, ((0, 4),))
-    with pytest.raises(ValueError, match="out of range"):
-        Dissection(3, ((2, 5),))
+    cases = [
+        (((0, 2), (1, 3)), "cross"),
+        (((1, 2),), "side"),
+        (((0, 4),), "distinguished"),
+        (((2, 5),), "out of range"),
+        (((-1, 2),), "out of range"),
+        (((3, 1),), "out of range"),
+    ]
+    for diagonals, message in cases:
+        for check in (Dissection, _check_diagonals):
+            with pytest.raises(ValueError, match=message):
+                check(3, diagonals)
     with pytest.raises(ValueError):
         Dissection(0, ())
 
@@ -165,9 +192,11 @@ def test_validation_matches_pairwise_scan(n):
             assert (first is None) == (frozenset(subset) in valid)
             if first is None:
                 assert Dissection(n, subset).diagonals == subset
-            else:
+                _check_diagonals(n, subset)
+                continue
+            for check in (Dissection, _check_diagonals):
                 with pytest.raises(ValueError) as exc:
-                    Dissection(n, subset)
+                    check(n, subset)
                 assert str(exc.value) == f"diagonals {first[0]} and {first[1]} cross"
 
 
@@ -197,6 +226,18 @@ def test_json_roundtrips():
     assert tree.to_json() == [[[0, 0, 0], [0, 0, 0, 0]], 0, 0]
 
 
+def test_deep_tree_json():
+    # The fan triangulation's tree is a chain of depth 1500, past the
+    # recursion limit that == and json.dumps on its array would hit.
+    n = 1500
+    tree = dissection_to_tree(Dissection(n, tuple((0, j) for j in range(2, n + 1))))
+    node = tree.to_json()
+    for _ in range(n - 1):
+        assert isinstance(node, list) and len(node) == 2 and node[1] == 0
+        node = node[0]
+    assert node == [0, 0]
+
+
 def test_json_rejects_malformed_documents():
     with pytest.raises(ValueError):
         Dissection.from_json({"n": 3})
@@ -213,6 +254,20 @@ def test_canonical_code_identifies_mirror_trees():
     assert canonical_code(left) == canonical_code(right)
     assert canonical_form(left) == canonical_form(right)
     assert canonical_form(right).shape == ((), ((), ()))
+
+
+@pytest.mark.parametrize("arity", [None, 2, 3, 4, 5])
+def test_partitions_match_non_increasing_compositions(arity):
+    # Reference: the compositions into at least two parts, filtered.
+    for total in range(1, 13):
+        expected = [
+            c
+            for c in _compositions(total)
+            if len(c) >= 2
+            and list(c) == sorted(c, reverse=True)
+            and (arity is None or len(c) == arity)
+        ]
+        assert sorted(_partitions(total, total - 1, arity)) == expected
 
 
 def test_canonical_code_counts_match_recurrence():
