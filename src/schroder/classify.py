@@ -124,48 +124,120 @@ def _step_matrices(ring: RingPresentation, degree: int):
     stays below max|acc| * max|c| * growth, partial sums included.
     Multiplying x^e by x_i is a plain shift while e_i + 1 < l_i; when
     e_i = l_i - 1 the product is x^rest * x_i^(l_i) with rest_i = 0, which
-    relation i rewrites to -x^rest * tail_i, and only those rows need a
-    reduction.  The maps are graded only when every relation is homogeneous,
-    all its tail monomials of degree l_i, as the products of linear forms of
-    every tree presentation are.  Any other ring, and an entry that float64
-    does not hold exactly, which `_advance` could not take back to an
-    integer, raise InternalError: neither is ever rounded.
+    relation i rewrites to -x^rest * tail_i.  Those rows are filled from
+    matrices already built: x^rest times a tail monomial takes the
+    monomial's variables in increasing order, all but the last through
+    lower steps and the last, a generator above i in a tree presentation,
+    through this step, whose matrices are built from generator k - 1 down.
+    `normal_form` reduces the rows of a relation with a tail monomial in no
+    generator above i, and rows whose products could leave the integers
+    float64 holds exactly.  The maps are graded only when every relation is
+    homogeneous, all its tail monomials of degree l_i, as the products of
+    linear forms of every tree presentation are.  Any other ring, and an
+    entry that float64 does not hold exactly, which `_advance` could not
+    take back to an integer, raise InternalError: neither is ever rounded.
     """
     ell = ring.staircase
     if any(sum(texp) != l for tail, l in zip(ring._tails, ell) for texp, _ in tail):
         raise InternalError("step matrices need homogeneous relations")
     k = ring.k
-    basis = [(0,) * k]
+    # Each tail monomial's variables in increasing order, repeated by
+    # exponent, split before the last one; relation i's tail grouped by the
+    # prefix, as [(last, coefficient)].
+    groups = []
+    for tail in ring._tails:
+        group = {}
+        for texp, c in tail:
+            seq = tuple(j for j, t in enumerate(texp) for _ in range(t))
+            group.setdefault(seq[:-1], []).append((seq[-1], c))
+        groups.append(group)
+    # By degree: the staircase monomials, sorted, their positions, the
+    # matrices and their largest column norms; step d fills those of degree d.
+    bases, indexes, levels, norms = [[(0,) * k]], [{(0,) * k: 0}], [], []
+
+    def tail_rows(i, rests, d):
+        """-x^rest * tail_i on the degree d + 1 basis, one row per rest, or
+        None where a monomial has no generator above i or a partial sum
+        could reach 2^53."""
+        lo = d + 1 - ell[i]
+        bound = 0
+        for prefix, terms in groups[i].items():
+            scale = 1
+            for m, v in enumerate(prefix):
+                scale *= max(1, norms[lo + m][v])
+            for j, c in terms:
+                if j <= i:
+                    return None
+                bound += scale * abs(c) * max(1, norms[d][j])
+        if bound >= _EXACT:
+            return None
+        # reach[prefix]: x^rest * x^prefix on the basis of its degree.
+        start = np.zeros((len(rests), len(bases[lo])))
+        for r, e in enumerate(rests):
+            start[r, indexes[lo][e]] = 1
+        reach = {(): start}
+        out = 0
+        for prefix, terms in groups[i].items():
+            for m in range(1, len(prefix) + 1):
+                if prefix[:m] not in reach:
+                    reach[prefix[:m]] = reach[prefix[: m - 1]] @ levels[lo + m - 1][prefix[m - 1]]
+            combo = 0
+            for j, c in terms:
+                combo = combo - c * levels[d][j]
+            out = out + reach[prefix] @ combo
+        return out
+
     steps = []
-    for _ in range(degree):
-        shifts = [
-            [e[:i] + (e[i] + 1,) + e[i + 1 :] if e[i] + 1 < ell[i] else None for i in range(k)]
-            for e in basis
-        ]
-        upper = sorted({s for row in shifts for s in row if s is not None})
+    for d in range(degree):
+        basis = bases[d]
+        upper = sorted(
+            {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in basis for i in range(k) if e[i] + 1 < ell[i]}
+        )
         index = {e: j for j, e in enumerate(upper)}
-        mats = [np.zeros((len(basis), len(upper))) for _ in range(k)]
-        for r, (e, row) in enumerate(zip(basis, shifts)):
-            for i, s in enumerate(row):
-                if s is not None:
-                    mats[i][r, index[s]] = 1
-                    continue
-                rest = e[:i] + (0,) + e[i + 1 :]
-                rewritten = IntPolynomial._raw(
-                    k,
-                    {
-                        tuple(a + b for a, b in zip(rest, texp)): -c
-                        for texp, c in ring._tails[i]
-                    },
-                )
-                for texp, c in normal_form(rewritten, ring).terms.items():
-                    if float(c) != c:
-                        raise InternalError(f"step entry {c} is not exact in float64")
-                    mats[i][r, index[texp]] = c
-        growth = int(sum(np.abs(m).sum(axis=0).max(initial=0) for m in mats))
-        steps.append((mats, growth))
-        basis = upper
+        mats = np.zeros((k, len(basis), len(upper)))
+        bases.append(upper)
+        indexes.append(index)
+        levels.append(mats)
+        norms.append([0] * k)
+        for i in reversed(range(k)):
+            reduced = []
+            for r, e in enumerate(basis):
+                if e[i] + 1 < ell[i]:
+                    mats[i, r, index[e[:i] + (e[i] + 1,) + e[i + 1 :]]] = 1
+                else:
+                    reduced.append(r)
+            if groups[i] and reduced:
+                rests = [basis[r][:i] + (0,) + basis[r][i + 1 :] for r in reduced]
+                block = tail_rows(i, rests, d)
+                if block is None:
+                    block = _normal_form_rows(ring, i, rests, index)
+                for r, row in zip(reduced, block):
+                    mats[i, r] = row
+            norms[d][i] = int(np.abs(mats[i]).sum(axis=0).max(initial=0))
+        steps.append((mats, sum(norms[d])))
     return steps
+
+
+def _normal_form_rows(ring: RingPresentation, i: int, rests, index) -> np.ndarray:
+    """-x^rest * tail_i by `normal_form`, one row per rest, on the basis
+    that `index` numbers; an entry float64 does not hold raises."""
+    rows = np.zeros((len(rests), len(index)))
+    for r, rest in enumerate(rests):
+        rewritten = IntPolynomial._raw(
+            ring.k,
+            {tuple(a + b for a, b in zip(rest, texp)): -c for texp, c in ring._tails[i]},
+        )
+        for texp, c in normal_form(rewritten, ring).terms.items():
+            if float(c) != c:
+                raise InternalError(f"step entry {c} is not exact in float64")
+            rows[r, index[texp]] = c
+    return rows
+
+
+# Forms whose powers one table pass advances together.  The steps are built
+# once per ring and each block of forms runs through them on its own, so
+# the table's arrays stay this many rows tall however many forms there are.
+_TABLE_BLOCK = 1024
 
 
 def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
@@ -173,26 +245,31 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
 
     Degrees above sum(l_i - 1) have no staircase monomials, so every form
     vanishes there and the answer is always at most that bound plus one.
-    The p-th powers of all forms advance together through the graded
-    staircase components, from degree 0, one `_step_matrices` step and one
-    exact `_advance` per power.
+    The p-th powers of a block of `_TABLE_BLOCK` forms advance together
+    through the graded staircase components, from degree 0, one
+    `_step_matrices` step and one exact `_advance` per power; forms drop out
+    of their block as their powers vanish.  Rows are independent, so the
+    blocks give the table one pass would, and memory does not grow with the
+    number of forms.
     """
     top = sum(ring.staircase) - ring.k
     forms = np.asarray(vectors)  # no copy when `vectors` is already an array
     if not len(forms):
         return []
+    steps = _step_matrices(ring, top)
     minp = np.full(len(forms), top + 1, dtype=np.int64)
-    alive = np.arange(len(forms))
-    acc = np.ones((len(forms), 1))  # alpha^0
-    for p, (mats, growth) in enumerate(_step_matrices(ring, top), 1):
-        acc = _advance(acc, mats, forms[alive], growth)  # alpha^p
-        zero = ~acc.any(axis=1)
-        if zero.any():
-            minp[alive[zero]] = p
-            alive = alive[~zero]
-            acc = acc[~zero]
-        if not len(alive):
-            break
+    for start in range(0, len(forms), _TABLE_BLOCK):
+        alive = np.arange(start, min(start + _TABLE_BLOCK, len(forms)))
+        acc = np.ones((len(alive), 1))  # alpha^0
+        for p, (mats, growth) in enumerate(steps, 1):
+            acc = _advance(acc, mats, forms[alive], growth)  # alpha^p
+            zero = ~acc.any(axis=1)
+            if zero.any():
+                minp[alive[zero]] = p
+                alive = alive[~zero]
+                acc = acc[~zero]
+            if not len(alive):
+                break
     return minp.tolist()
 
 
@@ -206,10 +283,14 @@ def _advance(acc, mats, coeffs, growth):
     integer in any summation order.  Past it the same sums are taken on
     Python ints in object arrays, and an object `acc` keeps every later step
     there.  The products share one buffer and are summed in place, so a step
-    holds two arrays of the result's size besides `acc`, and none after it.
+    holds two arrays of the result's size besides `acc`, and none after it;
+    the callers pass blocks of a fixed number of rows.
     """
     if acc.dtype != object and (
-        int(np.abs(acc).max()) * int(np.abs(coeffs).max()) * growth < _EXACT
+        int(max(acc.max(), -acc.min()))
+        * max(int(coeffs.max()), -int(coeffs.min()))
+        * growth
+        < _EXACT
     ):
         coeffs = coeffs.astype(np.float64)
     else:
@@ -349,6 +430,13 @@ def _maps_to_zero(source: SchroederPresentation, rows, target: SchroederPresenta
     )
 
 
+# The fingerprints take one row per point of [-l, l]^k, with l the largest
+# staircase exponent, and the witness search one per point of
+# [-bound, bound]^k.  `cohomology_isomorphic_bounded` allocates neither grid
+# past this many points, 2^20: a k = n = 8 fingerprint (5^8 points) and a
+# k = 7 one with an exponent of 3 (7^7) fit, 5^9 does not.
+_MAX_GRID = 2**20
+
 # Candidate rows whose relation check runs as one batch.  A witness in an
 # early block skips the later ones, and memory stays flat however large
 # (2 * bound + 1)^k grows.
@@ -441,7 +529,8 @@ def cohomology_isomorphic_bounded(
     Returns YES with a unimodular witness when a substitution with entries
     in [-bound, bound] identifies the two presentations, NO when an exact
     invariant separates the rings, and UNKNOWN otherwise.  YES and NO are
-    definitive; UNKNOWN only reflects the bound.
+    definitive; UNKNOWN only reflects the bound, or a grid of forms larger
+    than `_MAX_GRID` that the fingerprints or the search would need.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -457,7 +546,14 @@ def cohomology_isomorphic_bounded(
         )
     # Equal codes give equal fingerprints by construction, so only trees of
     # different classes have fingerprints worth comparing.
-    if canonical_code(t1) != canonical_code(t2):
+    same_class = canonical_code(t1) == canonical_code(t2)
+    widest = max(bound, 0 if same_class else max(sp1.staircase))
+    if (2 * widest + 1) ** sp1.k > _MAX_GRID:
+        return IsoVerdict(
+            "UNKNOWN",
+            f"grid [-{widest}, {widest}]^{sp1.k} exceeds the limit of {_MAX_GRID} points",
+        )
+    if not same_class:
         fp1, fp2 = _tree_fingerprint(t1), _tree_fingerprint(t2)
         fields = [
             f

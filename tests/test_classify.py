@@ -223,6 +223,32 @@ def test_nilpotency_table_falls_back_exactly(monkeypatch, big, fallbacks):
     assert len(results[first]) == fallbacks
 
 
+def test_nilpotency_table_blocks_match_one_pass(monkeypatch):
+    # Rows are independent, so forms cut into blocks of any size, at any
+    # boundary, must get the table one pass gives them, on Python ints too.
+    cases = []
+    for n in range(1, 6):
+        for tree in class_trees(n):
+            ring = schroeder_presentation(tree)
+            cases.append((ring, _primitive_array(ring.k, 1)))
+    assert len(cases) == 53
+    monkeypatch.setattr(classify, "_TABLE_BLOCK", len(_primitive_array(5, 1)))
+    one_pass = [_nilpotency_table(ring, forms) for ring, forms in cases]
+    for (ring, forms), table in zip(cases, one_pass):
+        top = sum(ring.staircase) - ring.k
+        for vec, p in zip(forms.tolist(), table):
+            assert p == (min_vanishing_power(vec, top + 1, ring) or top + 1)
+    results = recording_advance(monkeypatch)
+    for block in (1, 3, 7):
+        monkeypatch.setattr(classify, "_TABLE_BLOCK", block)
+        for exact in (2**53, 1):
+            monkeypatch.setattr(classify, "_EXACT", exact)
+            results.clear()
+            assert [_nilpotency_table(ring, forms) for ring, forms in cases] == one_pass
+            assert max(len(out) for out in results) == block
+            assert all(out.dtype == object for out in results) == (exact == 1)
+
+
 # x0 = (2**60 + 1) * x1 in this ring, and float64 rounds 2**60 + 1 to 2**60:
 # step matrices built from the rounded entry would make x0 - 2**60 * x1
 # vanish instead of x0 - (2**60 + 1) * x1.
@@ -285,6 +311,28 @@ def test_step_matrices_match_normal_form():
                 assert m.shape == o.shape
                 assert np.array_equal(m, o)
             assert growth == sum(max(np.abs(o).sum(axis=0), default=0) for o in oracle)
+
+
+def test_step_matrices_fill_tree_rows_without_normal_form(monkeypatch):
+    # A tree presentation's tails use only generators above their own, so
+    # every reduced row is filled from matrices already built.  Numbered
+    # bottom up, the tails use generators below, and those rows fall back.
+    calls = []
+
+    def counting(p, ring):
+        calls.append(ring)
+        return normal_form(p, ring)
+
+    monkeypatch.setattr(classify, "normal_form", counting)
+    for tree in class_trees(6):
+        ring = schroeder_presentation(tree)
+        _step_matrices(ring, sum(ring.staircase) - ring.k)
+    assert calls == []
+    for chained in (True, False):
+        for degrees in [(2, 2, 2), (3, 2, 4), (4, 3, 2), (2, 4, 3)]:
+            ring = ThreeCellTree(chained, degrees).bottom_up_presentation()
+            _step_matrices(ring, sum(ring.staircase) - ring.k)
+    assert len(calls) == 78
 
 
 # x0^2 + x1 is not homogeneous: reduction leaves the grading, and the table
@@ -524,6 +572,26 @@ def test_verdict_unknown_when_search_disabled():
     assert verdict.status == "UNKNOWN"
     with pytest.raises(ValueError):
         cohomology_isomorphic_bounded(RUNNING, RUNNING, bound=-1)
+
+
+def test_iso_declines_grids_past_the_limit(monkeypatch):
+    # Neither grid of forms may be allocated: at k = 100 it has 5^100 rows,
+    # and np.indices takes at most 64 axes.
+    def refuse(k, bound):
+        raise AssertionError(f"grid of {2 * bound + 1}^{k} points allocated")
+
+    monkeypatch.setattr(classify, "_candidate_array", refuse)
+    monkeypatch.setattr(classify, "_primitive_array", refuse)
+    n = 100
+    fan = Dissection(n, tuple((0, j) for j in range(2, n + 1)))
+    split = Dissection(n, tuple((0, j) for j in range(2, n)) + ((n - 1, n + 1),))
+    verdict = cohomology_isomorphic_bounded(fan, fan, 2)
+    assert verdict.status == "UNKNOWN"
+    assert verdict.detail == "grid [-2, 2]^100 exceeds the limit of 1048576 points"
+    # Trees of different classes need the fingerprints' grid, search or not.
+    assert cohomology_isomorphic_bounded(fan, split, 0).detail == verdict.detail
+    # A k = n = 8 fingerprint (staircase exponents 2) stays within it.
+    assert 5**8 <= classify._MAX_GRID < 5**9
 
 
 def test_gl_witness_finds_identity():

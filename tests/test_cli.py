@@ -111,6 +111,20 @@ def test_iso_exit_codes(capsys, tmp_path):
     assert json.loads(out)["status"] == "UNKNOWN"
 
 
+def test_iso_declines_oversized_grid(capsys, tmp_path):
+    # 100 cells: the candidate grid would have 5^100 rows.
+    n = 100
+    doc = json.dumps({"n": n, "diagonals": [[0, j] for j in range(2, n + 1)]})
+    fan = write(tmp_path, "fan.json", doc)
+    code, out, err = run(capsys, "iso", fan, fan, "--bound", "2")
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {
+        "status": "UNKNOWN",
+        "detail": "grid [-2, 2]^100 exceeds the limit of 1048576 points",
+        "witness": None,
+    }
+
+
 def test_classify_table(capsys):
     code, out, _ = run(capsys, "classify", "--n", "4", "--k", "2")
     assert code == 0
