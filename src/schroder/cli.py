@@ -82,6 +82,8 @@ def _load_dissection(path: str) -> Dissection:
                 raw = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"not a dissection document ({path}): {exc}") from None
     try:
         return Dissection.from_json(json.loads(raw))
     except (json.JSONDecodeError, ValueError, TypeError, RecursionError) as exc:

@@ -87,17 +87,29 @@ def _gen_data(tree: SchroederTree):
     return labels, internal, gen_labels, gen_index, lam
 
 
+def _expand(k: int, vecs) -> IntPolynomial:
+    """The product of the linear forms with coefficient vectors ``vecs``,
+    multiplied out factor by factor into one term dict, each factor read
+    from its nonzero entries only."""
+    terms = {(0,) * k: 1}
+    for vec in vecs:
+        nonzero = [(t, c) for t, c in enumerate(vec) if c]
+        out: dict[tuple[int, ...], int] = {}
+        for exp, coef in terms.items():
+            for t, c in nonzero:
+                new = exp[:t] + (exp[t] + 1,) + exp[t + 1 :]
+                c = out.pop(new, 0) + coef * c
+                if c:
+                    out[new] = c
+        terms = out
+    return IntPolynomial._raw(k, terms)
+
+
 def _presentation(tree: SchroederTree, internal, gen_labels, factors):
     """Multiply out each relation's linear factors; attach the vertex data."""
-    relations = []
-    for vecs in factors:
-        poly = IntPolynomial.constant(len(internal), 1)
-        for vec in vecs:
-            poly = poly * IntPolynomial.linear(vec)
-        relations.append(poly)
     return SchroederPresentation(
         gens=tuple(f"x{a}_{b}" for a, b in gen_labels),
-        relations=tuple(relations),
+        relations=tuple(_expand(len(internal), vecs) for vecs in factors),
         staircase=tuple(tree.arity(p) for p in internal),
         vertices=internal,
         labels=gen_labels,

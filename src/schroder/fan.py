@@ -10,7 +10,7 @@ and their relations then certify the Fano property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import repeat
 
 from ._matrix import det
 from .combinatorics import Dissection, Edge, nesting
@@ -63,13 +63,14 @@ class Fan:
     """Rational fan with rays indexed by polygon edges.
 
     ``edges[i]`` is the polygon edge behind ray i, ``rays[i]`` its vector,
-    and ``max_cones`` the family of maximal cones as ray-index sets.
+    and ``max_cones`` the family of maximal cones as ray bitmasks: bit i of
+    a cone is set when ray i is in it.
     """
 
     n: int
     edges: tuple[Edge, ...]
     rays: tuple[tuple[int, ...], ...]
-    max_cones: frozenset[frozenset[int]]
+    max_cones: frozenset[int]
 
     def __post_init__(self):
         if len(self.edges) != len(self.rays):
@@ -79,10 +80,18 @@ class Fan:
                 raise FanStructureError(
                     f"ray {v} has length {len(v)}, expected {self.n}"
                 )
-        m = len(self.rays)
-        if not all(0 <= i < m for i in frozenset().union(*self.max_cones)):
-            bad = next(c for c in self.max_cones if not all(0 <= i < m for i in c))
-            raise FanStructureError(f"cone {sorted(bad)} uses unknown rays")
+        limit = 1 << len(self.rays)
+        cones = self.max_cones
+        if cones and (min(cones) < 0 or max(cones) >= limit):
+            bad = next(c for c in cones if not 0 <= c < limit)
+            if bad < 0:
+                raise FanStructureError(f"cone mask {bad} is negative")
+            raise FanStructureError(f"cone {ray_list(bad)} uses unknown rays")
+
+
+def ray_list(cone: int) -> list[int]:
+    """The rays of a cone bitmask, ascending."""
+    return [i for i in range(cone.bit_length()) if cone >> i & 1]
 
 
 def build_fan_direct(d: Dissection) -> Fan:
@@ -90,13 +99,16 @@ def build_fan_direct(d: Dissection) -> Fan:
 
     The cell edge sets partition the rays, and a ray set is a cone exactly
     when it misses at least one edge of every cell, so the maximal cones are
-    the complements of one-edge-per-cell transversals.
+    the complements of one-edge-per-cell transversals: all rays, with one
+    bit per cell cleared.
     """
     edges, cells = _cells(d)
-    everything = frozenset(range(len(edges)))
-    cones = frozenset(everything - frozenset(drop) for drop in product(*cells))
+    cones = [(1 << len(edges)) - 1]
+    for cell in cells:
+        bits = [1 << i for i in cell]
+        cones = [c ^ b for c in cones for b in bits]
     rays = tuple(ray_vector(d.n, e) for e in edges)
-    return Fan(d.n, edges, rays, cones)
+    return Fan(d.n, edges, rays, frozenset(cones))
 
 
 def build_fan_subdivision(d: Dissection) -> Fan:
@@ -110,19 +122,19 @@ def build_fan_subdivision(d: Dissection) -> Fan:
     """
     n = d.n
     edges = [(i, i + 1) for i in range(n + 1)]
-    sides = frozenset(range(n + 1))
-    cones = {sides - {i} for i in range(n + 1)}
+    sides = (1 << (n + 1)) - 1
+    cones = {sides ^ (1 << i) for i in range(n + 1)}
     for a, b in sorted(d.diagonals, key=lambda e: (e[0], -e[1])):
-        new = len(edges)
+        new = 1 << len(edges)
         edges.append((a, b))
-        face = frozenset(range(a, b))
-        split = [c for c in cones if face <= c]
+        face = (1 << b) - (1 << a)  # the sides a..b-1
+        split = [c for c in cones if c & face == face]
         if not split:
             raise InternalError(f"face for diagonal {(a, b)} is not a cone")
         cones.difference_update(split)
-        for c in split:
-            for f in face:
-                cones.add((c - {f}) | {new})
+        # Swap one side f of the face for the new ray: c ^ (f | new).
+        swaps = [new | 1 << f for f in range(a, b)]
+        cones.update(c ^ s for c in split for s in swaps)
     rays = tuple(ray_vector(n, e) for e in edges)
     return Fan(n, tuple(edges), rays, frozenset(cones))
 
@@ -144,20 +156,45 @@ def _graph_edges(rays) -> list[tuple[int, int]] | None:
     return edges
 
 
-def _spans_tree(edges, cone, n: int) -> bool:
-    """Whether the n graph edges indexed by ``cone`` close no cycle, i.e.
-    form a spanning tree of the vertices 0..n (union-find)."""
-    parent = list(range(n + 1))
-    for i in cone:
-        a, b = edges[i]
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a == b:
-            return False
-        parent[a] = b
-    return True
+def _ray_columns(cones: list[int], m: int) -> list[int]:
+    """For each ray i < m, the cones among ``cones`` (ray bitmasks below
+    1 << m) that contain it, as a bitmask with bit c standing for cones[c].
+
+    The cones are laid out as one byte matrix, one row of w = 8 * ceil(m/8)
+    bits per cone, the last cone first.  Written in binary, ray i's column
+    is the strided slice of the digits that starts w - 1 - i digits in, and
+    read in base 2 it has cones[0] as its lowest bit.
+    """
+    width = -(-m // 8)
+    w = 8 * width
+    rows = b"".join(map(int.to_bytes, reversed(cones), repeat(width), repeat("big")))
+    digits = bin(int.from_bytes(rows, "big") | 1 << w * len(cones))[3:]
+    return [int(digits[w - 1 - i :: w] or "0", 2) for i in range(m)]
+
+
+def _connected_in_every_cone(edges, columns: list[int], n: int, full: int) -> bool:
+    """Whether in every cone the graph edges of its rays connect the
+    vertices 0..n, given ``columns`` as from _ray_columns and ``full`` the
+    set of all cones.
+
+    reach[v] is the set of cones in which vertex v is reached from vertex
+    0.  A ray's edge carries reach from either end to the other within the
+    cones that contain the ray.  Every sweep over the rays that changes
+    anything reaches at least one more (vertex, cone) pair, so the sweeps
+    stop.
+    """
+    reach = [0] * (n + 1)
+    reach[0] = full
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), column in zip(edges, columns):
+            ra, rb = reach[a], reach[b]
+            if (ra ^ rb) & column:
+                reach[a] = ra | rb & column
+                reach[b] = rb | ra & column
+                changed = True
+    return all(r == full for r in reach)
 
 
 def is_smooth(f: Fan) -> bool:
@@ -172,35 +209,37 @@ def is_smooth(f: Fan) -> bool:
     vanishes.  If not, the n edges on n + 1 vertices are a spanning tree;
     of its two or more leaves one is not 0, its column holds a single +-1,
     and expanding along that column and deleting the leaf shows det = +-1
-    by induction.  So one union-find per cone decides smoothness exactly.
-    Fans with other rays go through the determinant.
+    by induction.  n edges on n + 1 vertices form a spanning tree exactly
+    when they connect them, so one reachability pass over all cones at
+    once, on their ray bitmasks, decides smoothness exactly.  Fans with
+    other rays go through the determinant, cone by cone.
     """
+    cones = list(f.max_cones)
+    if set(map(int.bit_count, cones)) - {f.n}:
+        bad = next(c for c in cones if c.bit_count() != f.n)
+        raise FanStructureError(
+            f"maximal cone {ray_list(bad)} has {bad.bit_count()} rays "
+            f"in dimension {f.n}"
+        )
     edges = _graph_edges(f.rays)
-    for cone in f.max_cones:
-        if len(cone) != f.n:
-            raise FanStructureError(
-                f"maximal cone {sorted(cone)} has {len(cone)} rays in dimension {f.n}"
-            )
-        if edges is not None:
-            if not _spans_tree(edges, cone, f.n):
-                return False
-        elif abs(det([list(f.rays[i]) for i in sorted(cone)])) != 1:
-            return False
-    return True
+    if edges is None:
+        return all(
+            abs(det([list(f.rays[i]) for i in ray_list(c)])) == 1 for c in cones
+        )
+    columns = _ray_columns(cones, len(f.rays))
+    return _connected_in_every_cone(edges, columns, f.n, (1 << len(cones)) - 1)
 
 
 def omission_masks(cones, m: int):
     """One bitmask per ray i < m: bit c is set when the c-th of ``cones``
-    omits ray i.  Also returns a test whether a ray set lies in some cone:
-    in cone c exactly when none of its rays is omitted by c, so in some cone
-    exactly when the OR of its masks leaves a bit clear.
+    (ray bitmasks below 1 << m) omits ray i.  Also returns a test whether a
+    ray set lies in some cone: in cone c exactly when none of its rays is
+    omitted by c, so in some cone exactly when the OR of its masks leaves a
+    bit clear.
     """
     cones = list(cones)
     full = (1 << len(cones)) - 1
-    masks = [full] * m
-    for c, cone in enumerate(cones):
-        for i in cone:
-            masks[i] &= ~(1 << c)
+    masks = [full ^ column for column in _ray_columns(cones, m)]
 
     def in_a_cone(rays) -> bool:
         union = 0

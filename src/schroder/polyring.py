@@ -7,13 +7,14 @@ monic, rewriting any occurrence of x_i^(l_i) by the relation's tail is a
 confluent and terminating reduction, and the monomials under the staircase
 {e : e_i < l_i} form a basis of the quotient.  Termination additionally
 needs the tails to be triangular (no substitution cycle); that is checked
-once when a presentation is created.
+once when a presentation is created, by one linear in-degree (Kahn) pass
+over the graph in which generator i points to every other generator its
+tail contains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
 from types import MappingProxyType
 
 
@@ -255,15 +256,20 @@ class RingPresentation:
             tails.append(tuple(sorted(tail)))
         # A substitution order must exist: rewriting x_i^(l_i) may only
         # introduce variables that come later, or reduction can cycle.
-        try:
-            # static_order is lazy; drain it so cycles surface here.
-            list(
-                TopologicalSorter(
-                    {j: {i for i in range(k) if j in deps[i]} for j in range(k)}
-                ).static_order()
-            )
-        except CycleError:
-            raise ValueError("relations are not triangular") from None
+        # Kahn's pass: take the generators no tail still introduces, one at
+        # a time; a cycle leaves some generator never taken.
+        indegree = [0] * k
+        for i in range(k):
+            for j in deps[i]:
+                indegree[j] += 1
+        order = [i for i in range(k) if not indegree[i]]
+        for i in order:  # grows while it is read
+            for j in deps[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+        if len(order) < k:
+            raise ValueError("relations are not triangular")
         object.__setattr__(self, "_tails", tuple(tails))
 
     @property

@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism, round trips."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schroder
 import schroder.cli as cli
@@ -152,13 +154,15 @@ def test_classify_with_witness_search(capsys):
 
 
 def test_malformed_input_is_exit_two(capsys, tmp_path):
-    for text in ("not json at all", "[" * 100000 + "]" * 100000):
-        bad = write(tmp_path, "bad.json", text)
-        for argv in (["fano", bad], ["iso", bad, bad]):
+    not_utf8 = b'\xff\xfe{"n": 3, "diagonals": []}'
+    for raw in (b"not json at all", b"[" * 100000 + b"]" * 100000, not_utf8):
+        (tmp_path / "bad.json").write_bytes(raw)
+        bad = str(tmp_path / "bad.json")
+        for argv in (["fano", bad], ["iso", bad, bad], ["cohomology", bad]):
             code, out, err = run(capsys, *argv)
             assert code == 2
             assert not out
-            assert "not a dissection" in err
+            assert err.startswith(f"not a dissection document ({bad}): ")
     crossing = write(tmp_path, "x.json", '{"n": 3, "diagonals": [[0, 2], [1, 3]]}')
     code, _, err = run(capsys, "iso", crossing, crossing)
     assert code == 2
@@ -177,6 +181,65 @@ def test_malformed_input_is_exit_two(capsys, tmp_path):
         assert code == 2
         assert not out
         assert "expected an integer" in err
+
+
+# JSON leaves, with integers kept small wherever they could become n: a
+# valid n takes the program time that grows with n, which is not what this
+# tests.  Large integers go only where a polygon vertex is read.
+_SMALL = st.integers(-2, 7)
+_LEAVES = st.none() | st.booleans() | _SMALL | st.floats() | st.text(max_size=3)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+_VERTEX = st.integers() | _LEAVES
+_DIAGONALS = (
+    st.lists(st.tuples(_SMALL, _SMALL).map(list), max_size=3)
+    | st.lists(st.lists(_VERTEX, max_size=3), max_size=4)
+    | _JSON
+)
+_DISSECTION_LIKE = st.fixed_dictionaries(
+    {"n": _SMALL | _JSON, "diagonals": _DIAGONALS}, optional={"extra": _JSON}
+)
+# Mostly valid: n in range, diagonals as pairs of polygon vertices.
+_NEAR_VALID = st.fixed_dictionaries({
+    "n": st.integers(1, 7),
+    "diagonals": st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3),
+})
+_DOCUMENT_BYTES = (
+    st.one_of(_NEAR_VALID, _DISSECTION_LIKE, _JSON).map(lambda doc: json.dumps(doc).encode())
+    | st.binary(max_size=40)
+    | st.builds(
+        lambda doc, cut: json.dumps(doc).encode()[:cut], _DISSECTION_LIKE, st.integers(0, 30)
+    )
+)
+
+
+@given(
+    command=st.sampled_from(["fano", "cohomology", "iso"]),
+    first=_DOCUMENT_BYTES,
+    second=_DOCUMENT_BYTES,
+)
+@settings(max_examples=400, deadline=None)
+def test_any_document_keeps_the_exit_code_contract(
+    tmp_path_factory, command, first, second
+):
+    """Random JSON documents, dissection-shaped or not, and arbitrary bytes
+    (not JSON, not UTF-8, cut short) never escape the exit codes 0..3."""
+    tmp = tmp_path_factory.mktemp("doc")
+    paths = []
+    for name, raw in (("first.json", first), ("second.json", second)):
+        (tmp / name).write_bytes(raw)
+        paths.append(str(tmp / name))
+    argv = [command, *paths] if command == "iso" else [command, paths[0]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+    assert bool(out.getvalue()) == (code != 2)
 
 
 def test_argument_guards(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schroder.cohomology import (
+    _expand,
     betti_profile,
     descendant_set,
     dj_presentation,
@@ -155,6 +156,43 @@ def test_both_routes_agree_on_small_cases():
             assert via_fan.factors == via_tree.factors
 
 
+def _product_of_factors(k, vecs):
+    """The relation as first assembled: one IntPolynomial per factor and per
+    partial product.  Kept as the oracle for the sparse expansion."""
+    poly = IntPolynomial.constant(k, 1)
+    for vec in vecs:
+        poly = poly * IntPolynomial.linear(vec)
+    return poly
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), max_size=4)
+    )
+)
+@settings(deadline=None, max_examples=200)
+def test_expand_matches_the_product_loop(vecs):
+    """Random factors, with zero factors and terms that cancel."""
+    k = len(vecs[0]) if vecs else 2
+    expected = _product_of_factors(k, vecs)
+    got = _expand(k, vecs)
+    assert list(got.terms.items()) == list(expected.terms.items())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_relations_match_the_product_loop(n):
+    for d in enumerate_dissections(n):
+        tree = dissection_to_tree(d)
+        for sp in (
+            schroeder_presentation(tree),
+            eliminate(dj_presentation(build_fan_direct(d)), tree),
+        ):
+            for rel, vecs in zip(sp.relations, sp.factors):
+                expected = _product_of_factors(sp.k, vecs)
+                # Term for term, in the same order, with no zero coefficient.
+                assert list(rel.terms.items()) == list(expected.terms.items())
+
+
 def test_eliminate_rejects_foreign_tree():
     dj = dj_presentation(build_fan_direct(RUNNING))
     other = dissection_to_tree(Dissection(8, ((1, 3), (3, 8), (4, 8))))
@@ -204,7 +242,4 @@ def test_relations_vanish_in_their_own_ring(tree):
 def test_factors_multiply_to_the_relations(tree):
     sp = schroeder_presentation(tree)
     for rel, facs in zip(sp.relations, sp.factors):
-        prod = IntPolynomial.constant(sp.k, 1)
-        for vec in facs:
-            prod = prod * IntPolynomial.linear(vec)
-        assert prod == rel
+        assert _product_of_factors(sp.k, facs) == rel

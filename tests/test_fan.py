@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,10 +25,73 @@ from schroder.fan import (
     omission_masks,
     primitive_collections,
     primitive_relation,
+    ray_list,
     ray_vector,
 )
 
 RUNNING = Dissection(8, ((0, 3), (0, 7), (3, 7)))
+
+
+def mask(rays):
+    """The cone bitmask of a ray-index set."""
+    return sum(1 << i for i in set(rays))
+
+
+def _direct_sets(d):
+    """build_fan_direct as first written, with ray-index frozensets for
+    cones: the complements of one-edge-per-cell transversals.  Kept as the
+    oracle for the mask builders."""
+    edges, cells = _cells(d)
+    everything = frozenset(range(len(edges)))
+    return frozenset(everything - frozenset(drop) for drop in product(*cells))
+
+
+def _subdivision_sets(d):
+    """build_fan_subdivision as first written, on ray-index frozensets."""
+    n = d.n
+    edges = [(i, i + 1) for i in range(n + 1)]
+    sides = frozenset(range(n + 1))
+    cones = {sides - {i} for i in range(n + 1)}
+    for a, b in sorted(d.diagonals, key=lambda e: (e[0], -e[1])):
+        new = len(edges)
+        edges.append((a, b))
+        face = frozenset(range(a, b))
+        split = [c for c in cones if face <= c]
+        assert split, f"face for diagonal {(a, b)} is not a cone"
+        cones.difference_update(split)
+        for c in split:
+            for f in face:
+                cones.add((c - {f}) | {new})
+    return frozenset(cones)
+
+
+def _as_masks(cones):
+    return frozenset(map(mask, cones))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mask_builders_match_the_set_builders(n):
+    for d in enumerate_dissections(n):
+        direct, subdivided = build_fan_direct(d), build_fan_subdivision(d)
+        assert direct.max_cones == _as_masks(_direct_sets(d))
+        assert subdivided.max_cones == _as_masks(_subdivision_sets(d))
+        assert direct.edges == subdivided.edges == edge_order(d)
+
+
+def test_mask_builders_match_on_the_fan_triangulation():
+    d = Dissection(10, tuple((0, j) for j in range(2, 11)))
+    direct, subdivided = build_fan_direct(d), build_fan_subdivision(d)
+    assert len(direct.max_cones) == 1024
+    assert direct.max_cones == _as_masks(_direct_sets(d))
+    assert subdivided.max_cones == _as_masks(_subdivision_sets(d))
+    assert direct == subdivided
+    assert is_smooth(direct)
+
+
+def test_ray_list_reads_a_mask():
+    assert ray_list(0) == []
+    assert ray_list(0b1001) == [0, 3]
+    assert ray_list(mask({2, 5, 70})) == [2, 5, 70]
 
 
 def test_ray_vectors_drop_the_extremal_basis_vectors():
@@ -40,9 +104,7 @@ def test_ray_vectors_drop_the_extremal_basis_vectors():
 def test_projective_plane():
     fan = build_fan_direct(Dissection(2, ()))
     assert fan.rays == ((1, 0), (-1, 1), (0, -1))
-    assert fan.max_cones == frozenset(
-        {frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})}
-    )
+    assert fan.max_cones == {mask({0, 1}), mask({1, 2}), mask({0, 2})}
     assert is_smooth(fan)
     assert is_fano(Dissection(2, ()))
 
@@ -58,7 +120,7 @@ def test_running_example_fan():
     fan = build_fan_direct(RUNNING)
     assert len(fan.rays) == 12
     assert len(fan.max_cones) == 3 * 2 * 3 * 4
-    assert all(len(c) == 8 for c in fan.max_cones)
+    assert all(c.bit_count() == 8 for c in fan.max_cones)
     assert is_smooth(fan)
     assert fan == build_fan_subdivision(RUNNING)
 
@@ -83,7 +145,7 @@ def test_non_smooth_fan_detected():
         2,
         ((0, 1), (1, 2), (2, 3)),
         ((1, 0), (1, 2), (-1, -1)),
-        frozenset({frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})}),
+        frozenset({mask({0, 1}), mask({1, 2}), mask({0, 2})}),
     )
     assert _graph_edges(fan.rays) is None  # so is_smooth takes the det path
     assert not is_smooth(fan)
@@ -101,7 +163,7 @@ def test_is_smooth_matches_det_on_every_cone():
             assert _graph_edges(fan.rays) is not None
             for cone in fan.max_cones:
                 one = Fan(n, fan.edges, fan.rays, frozenset({cone}))
-                assert is_smooth(one) == _det_smooth(fan.rays, cone)
+                assert is_smooth(one) == _det_smooth(fan.rays, ray_list(cone))
                 cones += 1
     assert cones == 42782
 
@@ -126,7 +188,7 @@ def test_is_smooth_matches_det_on_random_graphic_cones():
         if rng.random() < 0.2:
             rays[rng.randrange(n)] = rays[rng.randrange(n)]
         edges = tuple((i, i + 1) for i in range(n))
-        fan = Fan(n, edges, tuple(rays), frozenset({frozenset(range(n))}))
+        fan = Fan(n, edges, tuple(rays), frozenset({mask(range(n))}))
         assert _graph_edges(fan.rays) is not None
         smooth = is_smooth(fan)
         assert smooth == _det_smooth(rays, range(n))
@@ -141,19 +203,38 @@ def test_is_smooth_matches_det_on_random_graphic_cones():
     assert min(seen.values()) >= 100, seen
 
 
+def test_is_smooth_matches_det_on_random_graphic_fans():
+    """Several cones over shared graphic rays: the fan is smooth exactly
+    when every cone is, whichever cones fail."""
+    rng = random.Random(20261019)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        m = n + rng.randint(0, 4)
+        rays = tuple(_graphic_ray(rng, n) for _ in range(m))
+        cones = {frozenset(rng.sample(range(m), n)) for _ in range(rng.randint(1, 8))}
+        fan = Fan(n, tuple((i, i + 1) for i in range(m)), rays, _as_masks(cones))
+        smooth = is_smooth(fan)
+        assert smooth == all(_det_smooth(rays, cone) for cone in cones)
+        verdicts[smooth] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
 def test_fan_validation():
     with pytest.raises(FanStructureError, match="one ray per edge"):
         Fan(2, ((0, 1),), ((1, 0), (0, 1)), frozenset())
     with pytest.raises(FanStructureError, match="length"):
         Fan(2, ((0, 1),), ((1, 0, 0),), frozenset())
     with pytest.raises(FanStructureError, match="unknown rays"):
-        Fan(1, ((0, 1),), ((1,),), frozenset({frozenset({3})}))
+        Fan(1, ((0, 1),), ((1,),), frozenset({mask({3})}))
     with pytest.raises(FanStructureError, match=r"cone \[0, 3\] uses unknown rays"):
-        Fan(1, ((0, 1),), ((1,),), frozenset({frozenset({0}), frozenset({0, 3})}))
-    with pytest.raises(FanStructureError, match="maximal cone"):
-        is_smooth(
-            Fan(2, ((0, 1), (1, 2)), ((1, 0), (0, 1)), frozenset({frozenset({0})}))
-        )
+        Fan(1, ((0, 1),), ((1,),), frozenset({mask({0}), mask({0, 3})}))
+    with pytest.raises(FanStructureError, match=r"cone \[1\] uses unknown rays"):
+        Fan(1, ((0, 1),), ((1,),), frozenset({mask({1})}))
+    with pytest.raises(FanStructureError, match="negative"):
+        Fan(1, ((0, 1),), ((1,),), frozenset({-1}))
+    with pytest.raises(FanStructureError, match=r"maximal cone \[0\] has 1 rays"):
+        is_smooth(Fan(2, ((0, 1), (1, 2)), ((1, 0), (0, 1)), frozenset({mask({0})})))
 
 
 def test_collections_are_the_cells():
@@ -188,12 +269,15 @@ def test_check_primitive_rejects_both_ways():
 
 def _full_cone_check(coll, cones):
     """The primitive-collection check as it was first written: subset tests
-    against every maximal cone.  Kept as the oracle for the faster checks."""
-    if any(coll <= cone for cone in cones):
+    against every maximal cone (bitmasks).  Kept as the oracle for the
+    faster checks."""
+    rays = mask(coll)
+    if any(rays & cone == rays for cone in cones):
         raise InternalError(f"collection {sorted(coll)} lies in a cone")
     for x in coll:
         sub = coll - {x}
-        if not any(sub <= cone for cone in cones):
+        rest = rays ^ 1 << x
+        if not any(rest & cone == rest for cone in cones):
             raise InternalError(f"proper subset {sorted(sub)} is not a cone")
 
 

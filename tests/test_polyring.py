@@ -130,6 +130,16 @@ def test_substitution_cycles_rejected():
         RingPresentation(("x", "y"), (x**2 + x * y, y**2 + x * y), (2, 2))
     # One-directional substitution is fine.
     RingPresentation(("x", "y"), (x**2 + x * y, y**2), (2, 2))
+    x, y, z = xvar(0, 3), xvar(1, 3), xvar(2, 3)
+    # x's tail brings in y, y's brings in z, z's brings in x.
+    with pytest.raises(ValueError, match="triangular"):
+        RingPresentation(("x", "y", "z"), (x**2 + y, y**2 + z, z**2 + x), (2, 2, 2))
+    # No cycle, but the order it substitutes in, x then z then y, is not the
+    # order of the generators.
+    ring = RingPresentation(
+        ("x", "y", "z"), (x**2 + x * z, y**2, z**2 + y * z), (2, 2, 2)
+    )
+    assert normal_form(x**3, ring) == -x * y * z
 
 
 def test_presentation_json_roundtrip():
