@@ -91,6 +91,25 @@ def _bottoms(tree: SchroederTree) -> frozenset[int]:
     )
 
 
+# `_primitive_array` and `_candidate_array` build no grid past this many
+# points, 2^24.  Every grid of `classify --n 10` fits (5^10 points at
+# k = n = 10); past it np.indices runs out of axes (at k > 64) or of memory
+# long before a table over the grid could finish.
+_MAX_POINTS = 2**24
+
+
+def _grid(k: int, bound: int, dtype) -> np.ndarray:
+    """Every point of [-bound, bound]^k, one row each, in lexicographic order.
+
+    A grid of more than `_MAX_POINTS` points raises ValueError naming it.
+    """
+    if (2 * bound + 1) ** k > _MAX_POINTS:
+        raise ValueError(
+            f"grid [-{bound}, {bound}]^{k} exceeds the limit of {_MAX_POINTS} points"
+        )
+    return np.indices((2 * bound + 1,) * k, dtype=dtype).reshape(k, -1).T - bound
+
+
 @lru_cache(maxsize=None)
 def _primitive_array(k: int, bound: int) -> np.ndarray:
     """Nonzero vectors in [-bound, bound]^k, gcd one, first nonzero entry positive.
@@ -99,8 +118,7 @@ def _primitive_array(k: int, bound: int) -> np.ndarray:
     them; memoised, so the array is read-only.
     """
     # The smallest signed type that holds the grid indices 0..2 * bound.
-    dtype = np.min_scalar_type(-2 * bound - 1)
-    grid = np.indices((2 * bound + 1,) * k, dtype=dtype).reshape(k, -1).T - bound
+    grid = _grid(k, bound, np.min_scalar_type(-2 * bound - 1))
     first = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
     keep = (first > 0) & (np.gcd.reduce(grid, axis=1) == 1)
     out = grid[keep]
@@ -113,29 +131,44 @@ def _primitive_array(k: int, bound: int) -> np.ndarray:
 # in any summation order.
 _EXACT = 2**53
 
+# An object array of the Python ints that a float64 array of integers
+# holds, exact however large they are, where a cast through int64 wraps
+# past 2^63.
+_to_ints = np.frompyfunc(int, 1, 1)
+
+
+def _next_basis(basis, ell):
+    """The staircase monomials one degree above those of `basis`, sorted."""
+    return sorted(
+        {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in basis for i in range(len(ell)) if e[i] + 1 < ell[i]}
+    )
+
 
 def _step_matrices(ring: RingPresentation, degree: int):
     """Multiplication by each generator between graded staircase components.
 
     `steps[d]`, for d < degree, is `(mats, growth)`: `mats[i]` is the matrix
-    of multiplication by x_i from the degree-d staircase monomials (rows,
-    sorted) to those of degree d + 1 (columns, sorted), and `growth` sums
-    the largest column norm of each, so |(acc @ mats[i]) * c| summed over i
-    stays below max|acc| * max|c| * growth, partial sums included.
+    of multiplication by x_i from the degree-d staircase monomials (columns,
+    sorted) to those of degree d + 1 (rows, sorted), so it acts on powers
+    held one form per column, and `growth` sums the largest row norm of
+    each, so |(mats[i] @ acc) * c[i]| summed over i stays below
+    max|acc| * max|c| * growth, partial sums included.  `_top_pairing`
+    reads the steps below the top degree through their transposes.
     Multiplying x^e by x_i is a plain shift while e_i + 1 < l_i; when
     e_i = l_i - 1 the product is x^rest * x_i^(l_i) with rest_i = 0, which
-    relation i rewrites to -x^rest * tail_i.  Those rows are filled from
+    relation i rewrites to -x^rest * tail_i.  Those columns are filled from
     matrices already built: x^rest times a tail monomial takes the
     monomial's variables in increasing order, all but the last through
     lower steps and the last, a generator above i in a tree presentation,
     through this step, whose matrices are built from generator k - 1 down.
-    `normal_form` reduces the rows of a relation with a tail monomial in no
-    generator above i, and rows whose products could leave the integers
-    float64 holds exactly.  The maps are graded only when every relation is
-    homogeneous, all its tail monomials of degree l_i, as the products of
-    linear forms of every tree presentation are.  Any other ring, and an
-    entry that float64 does not hold exactly, which `_advance` could not
-    take back to an integer, raise InternalError: neither is ever rounded.
+    `normal_form` reduces the columns of a relation with a tail monomial in
+    no generator above i, and columns whose products could leave the
+    integers float64 holds exactly.  The maps are graded only when every
+    relation is homogeneous, all its tail monomials of degree l_i, as the
+    products of linear forms of every tree presentation are.  Any other
+    ring, and an entry that float64 does not hold exactly, which `_advance`
+    could not take back to an integer, raise InternalError: neither is ever
+    rounded.
     """
     ell = ring.staircase
     if any(sum(texp) != l for tail, l in zip(ring._tails, ell) for texp, _ in tail):
@@ -152,12 +185,12 @@ def _step_matrices(ring: RingPresentation, degree: int):
             group.setdefault(seq[:-1], []).append((seq[-1], c))
         groups.append(group)
     # By degree: the staircase monomials, sorted, their positions, the
-    # matrices and their largest column norms; step d fills those of degree d.
+    # matrices and their largest row norms; step d fills those of degree d.
     bases, indexes, levels, norms = [[(0,) * k]], [{(0,) * k: 0}], [], []
 
-    def tail_rows(i, rests, d):
-        """-x^rest * tail_i on the degree d + 1 basis, one row per rest, or
-        None where a monomial has no generator above i or a partial sum
+    def tail_columns(i, rests, d):
+        """-x^rest * tail_i on the degree d + 1 basis, one column per rest,
+        or None where a monomial has no generator above i or a partial sum
         could reach 2^53."""
         lo = d + 1 - ell[i]
         bound = 0
@@ -172,29 +205,27 @@ def _step_matrices(ring: RingPresentation, degree: int):
         if bound >= _EXACT:
             return None
         # reach[prefix]: x^rest * x^prefix on the basis of its degree.
-        start = np.zeros((len(rests), len(bases[lo])))
+        start = np.zeros((len(bases[lo]), len(rests)))
         for r, e in enumerate(rests):
-            start[r, indexes[lo][e]] = 1
+            start[indexes[lo][e], r] = 1
         reach = {(): start}
         out = 0
         for prefix, terms in groups[i].items():
             for m in range(1, len(prefix) + 1):
                 if prefix[:m] not in reach:
-                    reach[prefix[:m]] = reach[prefix[: m - 1]] @ levels[lo + m - 1][prefix[m - 1]]
+                    reach[prefix[:m]] = levels[lo + m - 1][prefix[m - 1]] @ reach[prefix[: m - 1]]
             combo = 0
             for j, c in terms:
                 combo = combo - c * levels[d][j]
-            out = out + reach[prefix] @ combo
+            out = out + combo @ reach[prefix]
         return out
 
     steps = []
     for d in range(degree):
         basis = bases[d]
-        upper = sorted(
-            {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in basis for i in range(k) if e[i] + 1 < ell[i]}
-        )
+        upper = _next_basis(basis, ell)
         index = {e: j for j, e in enumerate(upper)}
-        mats = np.zeros((k, len(basis), len(upper)))
+        mats = np.zeros((k, len(upper), len(basis)))
         bases.append(upper)
         indexes.append(index)
         levels.append(mats)
@@ -203,25 +234,24 @@ def _step_matrices(ring: RingPresentation, degree: int):
             reduced = []
             for r, e in enumerate(basis):
                 if e[i] + 1 < ell[i]:
-                    mats[i, r, index[e[:i] + (e[i] + 1,) + e[i + 1 :]]] = 1
+                    mats[i, index[e[:i] + (e[i] + 1,) + e[i + 1 :]], r] = 1
                 else:
                     reduced.append(r)
             if groups[i] and reduced:
                 rests = [basis[r][:i] + (0,) + basis[r][i + 1 :] for r in reduced]
-                block = tail_rows(i, rests, d)
+                block = tail_columns(i, rests, d)
                 if block is None:
-                    block = _normal_form_rows(ring, i, rests, index)
-                for r, row in zip(reduced, block):
-                    mats[i, r] = row
-            norms[d][i] = int(np.abs(mats[i]).sum(axis=0).max(initial=0))
+                    block = _normal_form_columns(ring, i, rests, index)
+                mats[i][:, reduced] = block
+            norms[d][i] = int(np.abs(mats[i]).sum(axis=1).max(initial=0))
         steps.append((mats, sum(norms[d])))
     return steps
 
 
-def _normal_form_rows(ring: RingPresentation, i: int, rests, index) -> np.ndarray:
-    """-x^rest * tail_i by `normal_form`, one row per rest, on the basis
+def _normal_form_columns(ring: RingPresentation, i: int, rests, index) -> np.ndarray:
+    """-x^rest * tail_i by `normal_form`, one column per rest, on the basis
     that `index` numbers; an entry float64 does not hold raises."""
-    rows = np.zeros((len(rests), len(index)))
+    columns = np.zeros((len(index), len(rests)))
     for r, rest in enumerate(rests):
         rewritten = IntPolynomial._raw(
             ring.k,
@@ -230,61 +260,135 @@ def _normal_form_rows(ring: RingPresentation, i: int, rests, index) -> np.ndarra
         for texp, c in normal_form(rewritten, ring).terms.items():
             if float(c) != c:
                 raise InternalError(f"step entry {c} is not exact in float64")
-            rows[r, index[texp]] = c
-    return rows
+            columns[index[texp], r] = c
+    return columns
 
 
 # Forms whose powers one table pass advances together.  The steps are built
 # once per ring and each block of forms runs through them on its own, so
-# the table's arrays stay this many rows tall however many forms there are.
+# the table's arrays stay this many columns wide however many forms there are.
 _TABLE_BLOCK = 1024
 
 
 def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     """Minimal p with alpha^p = 0, for every coefficient vector at once.
 
-    Degrees above sum(l_i - 1) have no staircase monomials, so every form
-    vanishes there and the answer is always at most that bound plus one.
-    The p-th powers of a block of `_TABLE_BLOCK` forms advance together
-    through the graded staircase components, from degree 0, one
+    Degrees above top = sum(l_i - 1) have no staircase monomials, so every
+    form vanishes there and the answer is at most top + 1.  The powers of a
+    block of `_TABLE_BLOCK` forms, one column per form, advance together
+    through the graded staircase components from degree 0, one
     `_step_matrices` step and one exact `_advance` per power; forms drop out
-    of their block as their powers vanish.  Rows are independent, so the
-    blocks give the table one pass would, and memory does not grow with the
-    number of forms.
+    of their block as their powers vanish.  The degree-top component is
+    spanned by x^(l - 1) alone, so at half = ceil(top / 2) the pairing of
+    `_top_pairing` gives alpha^top from alpha^half and alpha^(top - half):
+    forms where it is nonzero get top + 1 there, the others step on, and a
+    form still alive at top - 1 gets top without the last step.
+    `_top_power` guards the pairing the way `_advance` guards a step, so
+    every value is exact.  Columns are independent, so the blocks give the
+    table one pass would, and memory does not grow with the number of
+    forms.
     """
     top = sum(ring.staircase) - ring.k
     forms = np.asarray(vectors)  # no copy when `vectors` is already an array
     if not len(forms):
         return []
     steps = _step_matrices(ring, top)
-    minp = np.full(len(forms), top + 1, dtype=np.int64)
+    half = (top + 1) // 2
+    pairing, weight = _top_pairing(ring, steps, half)
+    columns = np.ascontiguousarray(forms.T)
+    minp = np.full(len(forms), top, dtype=np.int64)
     for start in range(0, len(forms), _TABLE_BLOCK):
         alive = np.arange(start, min(start + _TABLE_BLOCK, len(forms)))
-        acc = np.ones((len(alive), 1))  # alpha^0
-        for p, (mats, growth) in enumerate(steps, 1):
-            acc = _advance(acc, mats, forms[alive], growth)  # alpha^p
-            zero = ~acc.any(axis=1)
-            if zero.any():
-                minp[alive[zero]] = p
-                alive = alive[~zero]
-                acc = acc[~zero]
+        acc = low = np.ones((1, len(alive)))  # alpha^0
+        # Up to top - 1, and through half, which passes it when top <= 1.
+        for p in range(max(half, top - 1) + 1):
+            if p:
+                mats, growth = steps[p - 1]
+                acc = _advance(acc, mats, columns[:, alive], growth)  # alpha^p
+            keep = acc.any(axis=0)
+            minp[alive[~keep]] = p
+            if p == top - half:
+                low = acc
+            if p == half:
+                full = _top_power(acc, low, pairing, weight) != 0
+                minp[alive[full]] = top + 1
+                keep &= ~full
+            if not keep.all():
+                alive, acc, low = alive[keep], acc[:, keep], low[:, keep]
             if not len(alive):
                 break
     return minp.tolist()
 
 
-def _advance(acc, mats, coeffs, growth):
-    """sum_i (acc @ mats[i]) * coeffs[:, i], exactly, one product per generator.
+def _top_pairing(ring: RingPresentation, steps, half: int):
+    """G^T and sum|G|, where G[u, v] is the coefficient of x^(l - 1) in x^u * x^v.
 
-    `coeffs` holds integers and `growth` is the step's growth from
-    `_step_matrices`.  Every partial sum of the step stays below
+    u runs over the degree-`half` staircase monomials and v over those of
+    degree top - half, both sorted, so alpha^top = (alpha^half)^T G
+    alpha^(top - half) for any form.  Column s of the degree-m array is the
+    map v -> coefficient of x^(l - 1) in x^s * v on the degree top - m
+    basis; it starts as [[1]] at m = 0, and x^t = x_i * x^(t - e_i), i the
+    first generator of t, gives column t from column t - e_i and the
+    transpose of `mats[i]` of step top - m.  One `_advance` per degree, with
+    one-hot coefficients, builds them exactly.  An entry of G that float64
+    does not hold exactly raises InternalError instead of being rounded.
+    """
+    ell, top = ring.staircase, len(steps)
+    basis, acc = [(0,) * ring.k], np.ones((1, 1))
+    for m in range(1, half + 1):
+        upper = _next_basis(basis, ell)
+        index = {e: r for r, e in enumerate(basis)}
+        first = [next(i for i, c in enumerate(t) if c) for t in upper]
+        parent = [index[t[:i] + (t[i] - 1,) + t[i + 1 :]] for t, i in zip(upper, first)]
+        onehot = np.zeros((ring.k, len(upper)), dtype=np.int64)
+        onehot[first, np.arange(len(upper))] = 1
+        mats = steps[top - m][0]
+        # The row norms of the transposes are the column norms of `mats`.
+        growth = int(np.abs(mats).sum(axis=1).max(axis=1).sum())
+        acc = _advance(acc[:, parent], mats.transpose(0, 2, 1), onehot, growth)
+        basis = upper
+    if acc.dtype == object:
+        for c in acc.flat:
+            if float(c) != c:
+                raise InternalError(f"pairing entry {c} is not exact in float64")
+        acc = acc.astype(np.float64)
+    return acc, int(np.abs(acc).sum())
+
+
+def _top_power(high, low, pairing, weight):
+    """The coefficient of x^(l - 1) in alpha^top, exactly, for each column
+    of `high` (alpha^half) and `low` (alpha^(top - half)) of the same forms.
+
+    `pairing` is G^T and `weight` sum|G| from `_top_pairing`, so the value
+    is the sum over v of (pairing @ high)[v] * low[v].  Every partial sum of
+    a column stays below max|high| * max|low| * weight, so while that bound
+    is below 2^53 the pairing runs in float64 and is exact; past it, the way
+    `_advance` guards a step, it runs on Python ints and returns them.
+    """
+    if (
+        high.dtype == object
+        or low.dtype == object
+        or int(np.abs(high).max()) * int(np.abs(low).max()) * weight >= _EXACT
+    ):
+        high, low, pairing = _to_ints(high), _to_ints(low), _to_ints(pairing)
+    return ((pairing @ high) * low).sum(axis=0)
+
+
+def _advance(acc, mats, coeffs, growth):
+    """sum_i (mats[i] @ acc) * coeffs[i], exactly, one product per generator.
+
+    Forms run along the columns: `acc` holds one column of coordinates per
+    form, `mats[i]` maps them up one degree, and `coeffs` holds integers,
+    one row per generator and one column per form, so each term is one
+    matrix product scaled along contiguous rows.  `growth` is the step's
+    growth from `_step_matrices`.  Every partial sum of the step stays below
     max|acc| * max|coeffs| * growth, so while that bound is below 2^53 the
     step runs in float64 on BLAS and each value is an exactly represented
     integer in any summation order.  Past it the same sums are taken on
     Python ints in object arrays, and an object `acc` keeps every later step
     there.  The products share one buffer and are summed in place, so a step
     holds two arrays of the result's size besides `acc`, and none after it;
-    the callers pass blocks of a fixed number of rows.
+    the callers pass blocks of a fixed number of columns.
     """
     if acc.dtype != object and (
         int(max(acc.max(), -acc.min()))
@@ -292,19 +396,17 @@ def _advance(acc, mats, coeffs, growth):
         * growth
         < _EXACT
     ):
-        coeffs = coeffs.astype(np.float64)
+        coeffs = coeffs.astype(np.float64, order="C")
     else:
-        # Float entries here are integers below 2^53, so they convert exactly.
-        if acc.dtype != object:
-            acc = acc.astype(np.int64).astype(object)
-        mats = [m.astype(np.int64).astype(object) for m in mats]
+        acc = _to_ints(acc)
+        mats = [_to_ints(m) for m in mats]
         coeffs = coeffs.astype(object)
-    out = acc @ mats[0]
-    out *= coeffs[:, :1]
+    out = mats[0] @ acc
+    out *= coeffs[0]
     term = np.empty_like(out)
     for i in range(1, len(mats)):
-        np.matmul(acc, mats[i], out=term)
-        term *= coeffs[:, i : i + 1]
+        np.matmul(mats[i], acc, out=term)
+        term *= coeffs[i]
         out += term
     return out
 
@@ -450,7 +552,7 @@ def _candidate_array(k: int, bound: int) -> np.ndarray:
     Smallest l1 norm first, ties in decreasing lexicographic order;
     memoised, so the array is read-only.
     """
-    grid = np.indices((2 * bound + 1,) * k).reshape(k, -1).T - bound
+    grid = _grid(k, bound, int)
     grid = grid[grid.any(axis=1)]
     out = grid[np.lexsort((*-grid[:, ::-1].T, np.abs(grid).sum(axis=1)))]
     out.flags.writeable = False
@@ -463,18 +565,18 @@ def _relation_vanishes_batch(factors, i, rows, block, steps):
     Each factor's image is affine in the candidate,
     f[i] * cand + sum_{s != i} f[s] * rows[s], so the product of the images
     advances through the target ring's graded steps for the whole block at
-    once, one exact `_advance` per factor.
+    once, one candidate per column and one exact `_advance` per factor.
     """
     k = block.shape[1]
-    acc = np.ones((len(block), 1))
+    acc = np.ones((1, len(block)))
     for (mats, growth), fvec in zip(steps, factors):
         fixed = [0] * k
         for s, c in enumerate(fvec):
             if c and s != i:
                 fixed = [a + c * b for a, b in zip(fixed, rows[s])]
-        images = fvec[i] * block + np.array(fixed, dtype=np.int64)
+        images = fvec[i] * block.T + np.array(fixed, dtype=np.int64)[:, None]
         acc = _advance(acc, mats, images, growth)
-    return ~acc.any(axis=1)
+    return ~acc.any(axis=0)
 
 
 def _gl_witness(

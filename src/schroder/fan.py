@@ -54,7 +54,7 @@ def _cells(d: Dissection) -> tuple[tuple[Edge, ...], tuple[frozenset[int], ...]]
     then by diagonal in the edge_order sense.
     """
     edges = edge_order(d)
-    index = {e: i for i, e in enumerate(edges)}.__getitem__
+    index = _edge_index(edges).__getitem__
     return edges, tuple(frozenset(map(index, kids)) for kids in nesting(d).values())
 
 
@@ -313,27 +313,38 @@ def primitive_relation(d: Dissection, collection: frozenset[int]) -> PrimitiveRe
     edges, cells = _cells(d)
     if collection not in cells:
         raise ValueError(f"{sorted(collection)} is not a primitive collection")
-    return _relation(d, edges, collection)
+    return _relation(d, edges, _edge_index(edges), collection)
 
 
-def _relation(d: Dissection, edges, collection: frozenset[int]) -> PrimitiveRelation:
-    span = set()
+def _edge_index(edges) -> dict[Edge, int]:
+    """Each edge's position in `edges`."""
+    return {e: i for i, e in enumerate(edges)}
+
+
+def _relation(d: Dissection, edges, index, collection: frozenset[int]) -> PrimitiveRelation:
+    """The relation of one cell, in time linear in the cell's size.
+
+    The ray vectors of the cell's edges are summed sparsely, by endpoint
+    (e_j - e_i for the edge {i, j}, with e_0 = e_{n+1} = 0), as sorted
+    (coordinate, value) pairs of the nonzero entries, and the claimed edge
+    is looked up in `index`, the edge -> ray index map of `edges`.
+    """
+    total: dict[int, int] = {}
     for i in collection:
-        span.update(edges[i])
-    claimed = (min(span), max(span))
-    total = [0] * d.n
-    for i in collection:
-        for m, x in enumerate(ray_vector(d.n, edges[i])):
-            total[m] += x
+        a, b = edges[i]
+        total[a] = total.get(a, 0) - 1
+        total[b] = total.get(b, 0) + 1
+    claimed = (min(total), max(total))
     if claimed == (0, d.n + 1):
         rhs: tuple[tuple[int, int], ...] = ()
-        expected = [0] * d.n
+        expected = []
     else:
-        rhs = ((edges.index(claimed), 1),)
-        expected = list(ray_vector(d.n, claimed))
-    if total != expected:
+        rhs = ((index[claimed], 1),)
+        expected = [(m, c) for m, c in zip(claimed, (-1, 1)) if 1 <= m <= d.n]
+    got = sorted((m, c) for m, c in total.items() if c and 1 <= m <= d.n)
+    if got != expected:
         raise InternalError(
-            f"ray sum of {sorted(collection)} is {total}, expected {expected}"
+            f"ray sum of {sorted(collection)} is {got}, expected {expected}"
         )
     return PrimitiveRelation(collection, rhs, len(collection) - len(rhs))
 
@@ -369,4 +380,5 @@ class FanoCertificate:
 def is_fano(d: Dissection) -> FanoCertificate:
     """Certificate that the variety of the dissection is Fano."""
     edges, cells = _checked_cells(d)
-    return FanoCertificate(edges, tuple(_relation(d, edges, c) for c in cells))
+    index = _edge_index(edges)
+    return FanoCertificate(edges, tuple(_relation(d, edges, index, c) for c in cells))

@@ -200,27 +200,74 @@ def recording_advance(monkeypatch):
     return results
 
 
+def recording_top_power(monkeypatch):
+    """Patch `_top_power` to keep its arguments and result; returns the
+    list they go to."""
+    top_power, calls = classify._top_power, []
+
+    def recording(*args):
+        calls.append((args, top_power(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(classify, "_top_power", recording)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "big, fallbacks", [(2**53 + 1, 4), (2**20, 4), (2**10, 3), (2**8, 2)]
+    "big, fallbacks", [(2**53 + 1, 4), (2**20, 4), (2**10, 3), (2**8, 3), (2**7, 2)]
 )
 def test_nilpotency_table_falls_back_exactly(monkeypatch, big, fallbacks):
     # float64 holds integers exactly only below 2**53.  Forms with a large
     # coefficient pass that limit at the first step (2**53 + 1 is not even
     # representable) or only after a few, and the products must then go on
-    # in Python ints.  The step that first returns an object array, and the
-    # number of forms still alive there, tell when the guard tripped:
-    # (0, 0, 0, 1) dies at p = 4, (0, 0, 1, 1) at p = 6.
+    # in Python ints.  The first `half` results of `_advance` build the
+    # pairing; after them, the step of the table that first returns an
+    # object array, and the number of forms still alive there, tell when
+    # the guard tripped.  All four forms vanish by the top degree, so the
+    # pairing drops none of them: (0, 0, 0, 1) dies at p = 4, (0, 0, 1, 1)
+    # at p = 6, the other two at p = 7.
     ring = schroeder_presentation(dissection_to_tree(RUNNING))
     top = sum(ring.staircase) - ring.k
-    vectors = [(big, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1), (0, 1, -2, 0)]
+    half = (top + 1) // 2
+    assert (top, half) == (8, 4)
+    vectors = [(0, big, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1), (0, 1, -2, 0)]
     expected = [min_vanishing_power(v, top + 1, ring) or top + 1 for v in vectors]
+    assert expected == [7, 6, 4, 7]
     results = recording_advance(monkeypatch)
     assert _nilpotency_table(ring, vectors) == expected
-    kinds = [out.dtype == object for out in results]
+    steps = results[half:]
+    assert [out.shape[1] for out in steps] == [4, 4, 4, 4, 3, 3, 2]
+    kinds = [out.dtype == object for out in steps]
     first = kinds.index(True)
-    assert first == {2**53 + 1: 0, 2**20: 2, 2**10: 4, 2**8: 6}[big]
+    assert first == {2**53 + 1: 0, 2**20: 2, 2**10: 4, 2**8: 5, 2**7: 6}[big]
     assert all(kinds[first:])
-    assert len(results[first]) == fallbacks
+    assert steps[first].shape[1] == fallbacks
+
+
+def test_top_power_falls_back_exactly(monkeypatch):
+    # With big = 2**10 no step up to half = 4 leaves float64, but
+    # max|alpha^4|^2 * sum|G| passes 2**53, so the pairing alone runs on
+    # Python ints.  It returns the top coefficient of each alpha^8, the one
+    # entry of the degree-8 normal form, exactly: (big, 1, 0, 0) never
+    # vanishes before top + 1 = 9, and the pairing drops it.
+    ring = schroeder_presentation(dissection_to_tree(RUNNING))
+    top, big = sum(ring.staircase) - ring.k, 2**10
+    half = (top + 1) // 2
+    vectors = [(big, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1), (0, 1, -2, 0)]
+    expected = [min_vanishing_power(v, top + 1, ring) or top + 1 for v in vectors]
+    assert expected == [9, 6, 4, 7]
+    results = recording_advance(monkeypatch)
+    pairings = recording_top_power(monkeypatch)
+    assert _nilpotency_table(ring, vectors) == expected
+    assert not any(out.dtype == object for out in results)
+    (((high, low, pairing, weight), value),) = pairings
+    assert high.dtype == low.dtype == np.float64
+    assert int(np.abs(high).max()) * int(np.abs(low).max()) * weight >= 2**53
+    socle = tuple(l - 1 for l in ring.staircase)
+    tops = [normal_form(IntPolynomial.linear(v) ** top, ring).terms.get(socle, 0) for v in vectors]
+    assert tops[0] and tops[1:] == [0, 0, 0]
+    assert value.dtype == object and value.tolist() == tops
+    assert [out.shape[1] for out in results[half:]] == [4, 4, 4, 4, 2, 2, 1]
 
 
 def test_nilpotency_table_blocks_match_one_pass(monkeypatch):
@@ -233,6 +280,16 @@ def test_nilpotency_table_blocks_match_one_pass(monkeypatch):
             cases.append((ring, _primitive_array(ring.k, 1)))
     assert len(cases) == 53
     monkeypatch.setattr(classify, "_TABLE_BLOCK", len(_primitive_array(5, 1)))
+    # Each ring's pairing is built once, here, so that every `_advance`
+    # recorded below is a step of the table.
+    top_pairing, pairings = classify._top_pairing, {}
+
+    def built_once(ring, steps, half):
+        if id(ring) not in pairings:
+            pairings[id(ring)] = top_pairing(ring, steps, half)
+        return pairings[id(ring)]
+
+    monkeypatch.setattr(classify, "_top_pairing", built_once)
     one_pass = [_nilpotency_table(ring, forms) for ring, forms in cases]
     for (ring, forms), table in zip(cases, one_pass):
         top = sum(ring.staircase) - ring.k
@@ -245,7 +302,7 @@ def test_nilpotency_table_blocks_match_one_pass(monkeypatch):
             monkeypatch.setattr(classify, "_EXACT", exact)
             results.clear()
             assert [_nilpotency_table(ring, forms) for ring, forms in cases] == one_pass
-            assert max(len(out) for out in results) == block
+            assert max(out.shape[1] for out in results) == block
             assert all(out.dtype == object for out in results) == (exact == 1)
 
 
@@ -264,6 +321,17 @@ def test_nilpotency_table_keeps_wide_step_entries_exact():
     assert expected == [2, 2, 1, 2]
     with pytest.raises(InternalError, match="not exact in float64"):
         _nilpotency_table(WIDE_ENTRY, vectors)
+
+
+def test_nilpotency_table_keeps_step_entries_past_int64_exact():
+    # 2**64 is a float64, so the steps hold it exactly, but a cast through
+    # int64 on the way to Python ints would wrap it to -2**63, and then
+    # x0 - 2**64 * x1 would no longer vanish.
+    ring = RingPresentation(("x0", "x1"), (Y[0] - 2**64 * Y[1], Y[1] ** 2), (1, 2))
+    vectors = [(1, 0), (0, 1), (1, -(2**64)), (1, 1 - 2**64)]
+    expected = [min_vanishing_power(v, 2, ring) or 2 for v in vectors]
+    assert expected == [2, 2, 1, 2]
+    assert _nilpotency_table(ring, vectors) == expected
 
 
 def test_witness_search_refuses_wide_step_entries():
@@ -307,9 +375,10 @@ def test_step_matrices_match_normal_form():
         got, want = _step_matrices(ring, top), normal_form_steps(ring, top)
         assert len(got) == len(want) == top
         for (mats, growth), oracle in zip(got, want):
+            # The oracle maps rows to columns; the steps act on columns.
             for m, o in zip(mats, oracle):
-                assert m.shape == o.shape
-                assert np.array_equal(m, o)
+                assert m.shape == o.T.shape
+                assert np.array_equal(m, o.T)
             assert growth == sum(max(np.abs(o).sum(axis=0), default=0) for o in oracle)
 
 
@@ -361,6 +430,101 @@ def test_nilpotency_table_routes_by_homogeneity(ring, graded):
         return
     expected = [min_vanishing_power(v, top + 1, ring) or top + 1 for v in vectors]
     assert _nilpotency_table(ring, vectors) == expected
+
+
+def oracle_table(ring, rows):
+    """The least vanishing power of each form, one `min_vanishing_power`
+    call per form, keyed by the form."""
+    top = sum(ring.staircase) - ring.k
+    return {v: min_vanishing_power(v, top + 1, ring) or top + 1 for v in map(tuple, rows)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_nilpotency_table_matches_oracle_on_class_rings(n):
+    # A class ring has top = n, so the cases take odd and even tops, and
+    # top = 1 at n = 1.  The bound-1 forms are among the bound-2 ones, so one
+    # oracle serves both.  At n = 6 the oracle over all 130989 bound-2 forms
+    # takes minutes, so there it checks every 29th of them.
+    stride = 29 if n == 6 else 1
+    for tree in class_trees(n):
+        ring = schroeder_presentation(tree)
+        assert sum(ring.staircase) - ring.k == n
+        small, large = _primitive_array(ring.k, 1), _primitive_array(ring.k, 2)
+        want = oracle_table(ring, [*small.tolist(), *large[::stride].tolist()])
+        assert _nilpotency_table(ring, small) == [want[v] for v in map(tuple, small.tolist())]
+        table = _nilpotency_table(ring, large)[::stride]
+        assert table == [want[v] for v in map(tuple, large[::stride].tolist())]
+
+
+# One generator that reduces away: nothing above degree 0, so top = 0.
+ZERO_TOP = RingPresentation(("x0",), (IntPolynomial.variable(1, 0),), (1,))
+
+
+@pytest.mark.parametrize("ring, top", [(ZERO_TOP, 0), (UNIT_STAIRCASE, 3)])
+def test_nilpotency_table_matches_oracle_off_trees(ring, top):
+    assert sum(ring.staircase) - ring.k == top
+    forms = _primitive_array(ring.k, 3)
+    want = oracle_table(ring, forms.tolist())
+    assert _nilpotency_table(ring, forms) == [want[v] for v in map(tuple, forms.tolist())]
+
+
+# x0^2 x1^2 is two rewrites away from the staircase: x0^2 = H x0 x2 and
+# x1^2 = H x1 x3 make it H^2 x0 x1 x2 x3.  Every step entry is at most H,
+# which float64 holds, but G[x0 x1, x0 x1] = H^2 = 2^54 + 2^28 + 1 is not.
+H = 2**27 + 1
+Z = [IntPolynomial.variable(4, i) for i in range(4)]
+WIDE_PAIRING = RingPresentation(
+    ("x0", "x1", "x2", "x3"),
+    (Z[0] ** 2 - H * Z[0] * Z[2], Z[1] ** 2 - H * Z[1] * Z[3], Z[2] ** 2, Z[3] ** 2),
+    (2, 2, 2, 2),
+)
+
+
+def test_nilpotency_table_refuses_wide_pairing_entries():
+    steps = _step_matrices(WIDE_PAIRING, 4)
+    assert max(int(np.abs(mats).max()) for mats, _ in steps) == H
+    assert [min_vanishing_power(v, 5, WIDE_PAIRING) for v in [(1, 0, 0, 0), (1, 1, 0, 0)]] == [3, 5]
+    with pytest.raises(InternalError, match=f"pairing entry {H**2} is not exact in float64"):
+        _nilpotency_table(WIDE_PAIRING, [(1, 0, 0, 0), (1, 1, 0, 0)])
+
+
+def pairing_oracle(ring, half):
+    """G[u, v], the coefficient of x^(l - 1) in normal_form(x^u * x^v), for
+    the sorted staircase monomials u of degree `half` and v of degree
+    top - half."""
+    top = sum(ring.staircase) - ring.k
+    by_degree = {}
+    for exp in product(*(range(l) for l in ring.staircase)):
+        by_degree.setdefault(sum(exp), []).append(exp)
+    socle = tuple(l - 1 for l in ring.staircase)
+    return np.array(
+        [
+            [
+                normal_form(IntPolynomial(ring.k, {u: 1}) * IntPolynomial(ring.k, {v: 1}), ring)
+                .terms.get(socle, 0)
+                for v in sorted(by_degree[top - half])
+            ]
+            for u in sorted(by_degree[half])
+        ]
+    )
+
+
+def test_top_pairing_matches_normal_form():
+    rings = [schroeder_presentation(tree) for n in range(1, 7) for tree in class_trees(n)]
+    for chained in (True, False):
+        for degrees in [(2, 2, 2), (3, 2, 4), (4, 3, 2), (2, 4, 3)]:
+            t = ThreeCellTree(chained, degrees)
+            rings += [schroeder_presentation(t.tree()), t.bottom_up_presentation()]
+    rings += [ZERO_TOP, UNIT_STAIRCASE]
+    for ring in rings:
+        top = sum(ring.staircase) - ring.k
+        steps = _step_matrices(ring, top)
+        # Every split, not only the one the table uses, half = ceil(top / 2).
+        for half in range(top + 1):
+            pairing, weight = classify._top_pairing(ring, steps, half)
+            oracle = pairing_oracle(ring, half)
+            assert np.array_equal(pairing, oracle.T)
+            assert weight == np.abs(oracle).sum()
 
 
 def per_candidate_witness(sp1, sp2, bound):
@@ -592,6 +756,29 @@ def test_iso_declines_grids_past_the_limit(monkeypatch):
     assert cohomology_isomorphic_bounded(fan, split, 0).detail == verdict.detail
     # A k = n = 8 fingerprint (staircase exponents 2) stays within it.
     assert 5**8 <= classify._MAX_GRID < 5**9
+
+
+def test_grids_past_the_point_limit_raise_a_named_error():
+    # np.indices takes at most 64 axes; the k = 100 fan triangulation asks
+    # for 101 and used to end in numpy's "maximum supported dimension".
+    n = 100
+    fan = Dissection(n, tuple((0, j) for j in range(2, n + 1)))
+    message = r"^grid \[-2, 2\]\^100 exceeds the limit of 16777216 points$"
+    with pytest.raises(ValueError, match=message):
+        fingerprint(fan)
+    with pytest.raises(ValueError, match=message):
+        classify._candidate_array(100, 2)
+    assert classify._MAX_POINTS == 2**24
+
+
+def test_classify_grids_stay_within_the_point_limit():
+    # Every fingerprint grid of `classify --n 9` and `--n 10`: the classes
+    # with k <= 3 or k = n cells, bounded by the largest staircase exponent.
+    for n in (9, 10):
+        for k in (1, 2, 3, n):
+            for tree in class_trees(n, k):
+                bound = max(schroeder_presentation(tree).staircase)
+                assert (2 * bound + 1) ** k <= classify._MAX_POINTS
 
 
 def test_gl_witness_finds_identity():

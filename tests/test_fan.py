@@ -16,6 +16,7 @@ from schroder.fan import (
     _cell_test,
     _cells,
     _graph_edges,
+    _relation,
     build_fan_direct,
     build_fan_subdivision,
     check_primitive_with,
@@ -333,6 +334,17 @@ def test_running_example_relations():
 def test_relation_rejects_non_collection():
     with pytest.raises(ValueError, match="not a primitive collection"):
         primitive_relation(RUNNING, frozenset({0, 1}))
+
+
+def test_relation_check_bites():
+    # The sides {0, 1} and {2, 3} do not close up to the edge {0, 3} they
+    # span: their ray vectors sum to e_1 - e_2 + e_3, not e_3.
+    edges = edge_order(RUNNING)
+    index = {e: i for i, e in enumerate(edges)}
+    assert (edges[0], edges[2]) == ((0, 1), (2, 3))
+    message = r"ray sum of \[0, 2\] is \[\(1, 1\), \(2, -1\), \(3, 1\)\], expected \[\(3, 1\)\]$"
+    with pytest.raises(InternalError, match=message):
+        _relation(RUNNING, edges, index, frozenset({0, 2}))
 
 
 def test_positive_degrees_certify_fano():
