@@ -261,33 +261,29 @@ def check_primitive_with(coll: frozenset[int], in_a_cone) -> None:
             raise InternalError(f"proper subset {sorted(sub)} is not a cone")
 
 
-def _cell_test(cells):
-    """Whether a ray set lies in a cone of the fan build_fan_direct makes
-    from ``cells``, which partition the rays.
-
-    Its cones are the complements of one-ray-per-cell transversals, and a
-    transversal avoiding the set exists exactly when no whole cell lies in
-    the set; only the cells of the set's own rays can.
-    """
-    owner = {i: cell for cell in cells for i in cell}
-    return lambda rays: not any(owner[i] <= rays for i in rays)
-
-
 def _checked_cells(d: Dissection):
-    """_cells(d), with every cell checked to be a primitive collection of the
-    fan of build_fan_direct, against the cells instead of its cones."""
+    """_cells(d), checked to partition the rays into nonempty cells.
+
+    That makes every cell a primitive collection of the fan of
+    build_fan_direct, whose cones are the ray sets that miss some ray of
+    every cell: a cell misses none of its own rays, so it lies in no cone,
+    while the cell minus any ray x misses x and, disjoint from the other
+    nonempty cells, misses a ray of each of them too.
+    """
     edges, cells = _cells(d)
-    in_a_cone = _cell_test(cells)
-    for coll in cells:
-        check_primitive_with(coll, in_a_cone)
+    m = len(edges)
+    # m memberships that cover all m rays leave no ray in two cells.
+    if not all(cells) or sum(map(len, cells)) != m or set().union(*cells) != set(range(m)):
+        raise InternalError(f"cells do not partition the {m} rays into nonempty sets")
     return edges, cells
 
 
 def primitive_collections(d: Dissection) -> tuple[frozenset[int], ...]:
     """The cell edge sets, as ray-index sets, outermost cell first.
 
-    Each returned set is checked to be a primitive collection of the fan
-    of build_fan_direct.
+    The cells are checked to partition the rays into nonempty sets, which
+    makes each a primitive collection of the fan of build_fan_direct (see
+    _checked_cells).
     """
     return _checked_cells(d)[1]
 

@@ -404,6 +404,33 @@ def test_step_matrices_fill_tree_rows_without_normal_form(monkeypatch):
     assert len(calls) == 78
 
 
+def test_step_matrices_reduce_wide_tree_columns_by_normal_form(monkeypatch):
+    # A tree ring with staircase (10, 10), which the public fingerprint of
+    # this dissection builds: one block of tail-filled columns has a bound
+    # past 2^53, so it goes through normal_form, and the steps stay exact.
+    d = Dissection(18, ((9, 19),))
+    ring = schroeder_presentation(dissection_to_tree(d))
+    assert ring.staircase == (10, 10)
+    calls = []
+
+    def counting(p, ring):
+        calls.append(ring)
+        return normal_form(p, ring)
+
+    monkeypatch.setattr(classify, "normal_form", counting)
+    top = sum(ring.staircase) - ring.k
+    got, want = _step_matrices(ring, top), normal_form_steps(ring, top)
+    assert calls
+    assert len(got) == len(want) == top
+    for (mats, growth), oracle in zip(got, want):
+        for m, o in zip(mats, oracle):
+            assert np.array_equal(m, o.T)
+        assert growth == sum(max(np.abs(o).sum(axis=0), default=0) for o in oracle)
+    calls.clear()
+    assert fingerprint(d) is not None
+    assert calls
+
+
 # x0^2 + x1 is not homogeneous: reduction leaves the grading, and the table
 # refuses the ring.  The second ring is homogeneous with a staircase exponent
 # of one, so x0 reduces away.

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from schroder._matrix import det
 from schroder.combinatorics import Dissection, enumerate_dissections
 from schroder.errors import InternalError
+import schroder.fan as fan_module
 from schroder.fan import (
     Fan,
     FanStructureError,
-    _cell_test,
     _cells,
     _graph_edges,
     _relation,
@@ -292,15 +292,14 @@ def _verdict(check, *args):
 
 def test_cell_and_mask_checks_match_the_full_cone_check():
     """Cells pass; a cell minus one ray lies in a cone; two cells joined
-    have a proper subset that is not a cone.  The cell test and the mask
-    test reach the oracle's verdict and message on each."""
+    have a proper subset that is not a cone.  The mask test reaches the
+    oracle's verdict and message on each."""
     for n in range(1, 8):
         for d in enumerate_dissections(n):
             fan = build_fan_direct(d)
             cones = fan.max_cones
             by_masks = omission_masks(cones, len(fan.rays))[1]
             cells = _cells(d)[1]
-            by_cells = _cell_test(cells)
             candidates = [(cell, None) for cell in cells]
             for i, cell in enumerate(cells):
                 candidates.append((cell - {min(cell)}, "lies in a cone"))
@@ -310,8 +309,38 @@ def test_cell_and_mask_checks_match_the_full_cone_check():
                 expected = _verdict(_full_cone_check, coll, cones)
                 assert (expected is None) == (reason is None)
                 assert reason is None or expected.endswith(reason)
-                assert _verdict(check_primitive_with, coll, by_cells) == expected
                 assert _verdict(check_primitive_with, coll, by_masks) == expected
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        (frozenset({0, 1}), frozenset({1, 2})),
+        (frozenset({0, 1}),),
+        (frozenset({0, 1, 2}), frozenset()),
+        # Three memberships, as many as rays, but ray 2 is left out.
+        (frozenset({0, 1}), frozenset({1})),
+    ],
+    ids=["overlapping", "ray-left-out", "empty-cell", "overlap-hiding-a-gap"],
+)
+def test_checked_cells_rejects_non_partitions(monkeypatch, cells):
+    d = Dissection(2, ())
+    edges = edge_order(d)
+    assert len(edges) == 3
+    monkeypatch.setattr(fan_module, "_cells", lambda _: (edges, cells))
+    with pytest.raises(InternalError, match="do not partition the 3 rays"):
+        primitive_collections(d)
+    with pytest.raises(InternalError, match="do not partition the 3 rays"):
+        is_fano(d)
+
+
+def test_one_large_cell_is_certified():
+    cert = is_fano(Dissection(10000, ()))
+    assert cert
+    (relation,) = cert.relations
+    assert relation.degree == 10001
+    assert relation.rhs == ()
+    assert relation.collection == frozenset(range(10001))
 
 
 def test_running_example_relations():
