@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, groupby, product
+from itertools import accumulate, combinations, combinations_with_replacement, groupby, product
 from operator import itemgetter
 
 from .errors import InternalError
@@ -291,20 +291,69 @@ def _compositions(total: int):
             yield (first,) + rest
 
 
-def _plane_shapes(n_leaves: int):
-    """The shapes of enumerate_trees(n_leaves), made one at a time from the
-    memoised shapes of the root's children."""
+@lru_cache(maxsize=None)
+def _shapes(n_leaves: int) -> tuple:
+    """The shapes of enumerate_trees(n_leaves), made from the memoised
+    shapes of the root's children."""
     if n_leaves == 1:
-        yield ()
-        return
-    for comp in _compositions(n_leaves):
-        if len(comp) >= 2:
-            yield from product(*map(_shapes, comp))
+        return ((),)
+    return tuple(
+        kids
+        for comp in _compositions(n_leaves)
+        if len(comp) >= 2
+        for kids in product(*map(_shapes, comp))
+    )
 
 
 @lru_cache(maxsize=None)
-def _shapes(n_leaves: int) -> tuple:
-    return tuple(_plane_shapes(n_leaves))
+def _fragments(n_leaves: int) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """(labels, text) of each _shapes(n_leaves) member, in that order.
+
+    The labels are the phi_labels pairs of its internal vertices, its own
+    included, counted from its first leaf, sorted and flattened to
+    (a0, b0, a1, b1, ...); the text is its nested-array JSON.
+    """
+    if n_leaves == 1:
+        return (((), "0"),)
+    out = []
+    for labels, texts in _joined(n_leaves, None):
+        # Only the first child's labels can start at 0, each (0, b) with
+        # b below n_leaves, so the vertex's own (0, n_leaves) follows them.
+        z = 0
+        while z < len(labels) and not labels[z]:
+            z += 2
+        labels[z:z] = (0, n_leaves)
+        out.append((tuple(labels), "[" + texts + "]"))
+    return tuple(out)
+
+
+def _joined(n_leaves: int, cells: int | None):
+    """For each shape of _shapes(n_leaves), in that order, with `cells`
+    internal vertices if given: the labels of the root's children, shifted
+    by their first leaves and flattened, and their texts joined by ", ".
+
+    The labels come out sorted: child j's left ends lie in [o_j, o_j + m_j)
+    for its first leaf o_j and leaf count m_j, below those of child j + 1.
+    A combination's cell count is read off its fragments before any labels
+    or text are built; a composition whose cell counts cannot reach `cells`
+    never builds its parts' fragments.
+    """
+    for comp in _compositions(n_leaves):
+        if len(comp) < 2:
+            continue
+        if cells is not None:
+            least = 1 + sum(m > 1 for m in comp)
+            if not least <= cells <= 1 + n_leaves - len(comp):
+                continue
+            wanted = 2 * (cells - 1)
+        offsets = tuple(accumulate(comp[:-1]))
+        for kids in product(*map(_fragments, comp)):
+            if cells is not None and sum(len(ls) for ls, _ in kids) != wanted:
+                continue
+            labels = list(kids[0][0])
+            for o, (ls, _) in zip(offsets, kids[1:]):
+                labels += [x + o for x in ls]
+            yield labels, ", ".join([text for _, text in kids])
 
 
 def enumerate_trees(n_leaves: int) -> list[SchroederTree]:
@@ -328,19 +377,18 @@ def dissection_trees(n: int, k: int | None = None) -> list[SchroederTree]:
 
 
 def _dissection_records(n: int, k: int | None = None):
-    """(diagonals, nested-array tree) of each dissection_trees(n, k) member,
-    in that order, without building trees or dissections.
+    """(diagonals, nested-array JSON of the tree) of each
+    dissection_trees(n, k) member, in that order, assembled from the
+    fragments of the root's children without building trees or dissections.
 
-    The diagonals are sorted [i, j] lists; they pass the checks Dissection
+    The diagonals are sorted (i, j) pairs; they pass the checks Dissection
     makes.
     """
-    for shape in _plane_shapes(n + 1):
-        labels, tree = _label_walk(shape)
-        if k is None or len(labels) == k:
-            diagonals = labels[1:]
-            _check_diagonals(n, diagonals)
-            diagonals.sort()
-            yield diagonals, tree
+    for labels, texts in _joined(n + 1, k):
+        pairs = iter(labels)
+        diagonals = list(zip(pairs, pairs))
+        _check_diagonals(n, diagonals)
+        yield diagonals, "[" + texts + "]"
 
 
 def _partitions(total: int, largest: int, parts: int | None):

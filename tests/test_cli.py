@@ -56,6 +56,18 @@ def test_enumerate_respects_k(capsys):
     assert out.splitlines() == ['{"diagonals": [], "n": 1, "tree": [0, 0]}', '{"count": 1}']
 
 
+def test_enumerate_lines_are_sorted_json(capsys):
+    # The records are assembled by hand; each must read back and encode to
+    # the same text.
+    for n in range(1, 8):
+        for k in [None, *range(1, n + 1)]:
+            argv = ["enumerate", "--n", str(n)] + ([] if k is None else ["--k", str(k)])
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            for line in out.splitlines():
+                assert line == cli._sorted_json(json.loads(line))
+
+
 def test_table_rows(capsys):
     code, out, _ = run(capsys, "table", "--n", "6")
     assert code == 0

@@ -12,7 +12,10 @@ from schroder.combinatorics import (
     _check_diagonals,
     _compositions,
     _dissection_records,
+    _fragments,
+    _label_walk,
     _partitions,
+    _shapes,
     canonical_code,
     canonical_form,
     dissection_to_tree,
@@ -73,12 +76,22 @@ def test_records_match_trees_and_dissections():
         for k in [None, *range(1, n + 1)]:
             expected = [
                 (
-                    [list(e) for e in tree_to_dissection(t).diagonals],
-                    nested_array(t.shape),
+                    list(tree_to_dissection(t).diagonals),
+                    json.dumps(nested_array(t.shape)),
                 )
                 for t in dissection_trees(n, k)
             ]
             assert list(_dissection_records(n, k)) == expected
+
+
+def test_fragments_match_the_label_walk():
+    for m in range(1, 10):
+        expected = []
+        for shape in _shapes(m):
+            labels, array = _label_walk(shape)
+            flat = tuple(x for pair in sorted(labels) for x in pair)
+            expected.append((flat, json.dumps(array)))
+        assert list(_fragments(m)) == expected
 
 
 def test_enumeration_counts_match_closed_form():
