@@ -159,29 +159,31 @@ def _step_matrices(ring: RingPresentation, degree: int):
     relation i rewrites to -x^rest * tail_i.  Those columns are filled from
     matrices already built: x^rest times a tail monomial takes the
     monomial's variables in increasing order, all but the last through
-    lower steps and the last, a generator above i in a tree presentation,
-    through this step, whose matrices are built from generator k - 1 down.
-    `normal_form` reduces the columns of a relation with a tail monomial in
-    no generator above i, and columns whose products could leave the
-    integers float64 holds exactly.  The maps are graded only when every
-    relation is homogeneous, all its tail monomials of degree l_i, as the
-    products of linear forms of every tree presentation are.  Any other
-    ring, and an entry that float64 does not hold exactly, which `_advance`
-    could not take back to an integer, raise InternalError: neither is ever
-    rounded.
+    lower steps and the last through this step, whose matrices are built
+    from generator k - 1 down.  `normal_form` reduces only a block whose
+    products could leave the integers float64 holds exactly.  This needs
+    what every tree presentation gives: each tail monomial of relation i
+    has degree l_i, so the maps are graded, and ends in a generator above
+    i.  A ring without it, and an entry that float64 does not hold
+    exactly, which `_advance` could not take back to an integer, raise
+    InternalError: neither is ever rounded.
     """
     ell = ring.staircase
-    if any(sum(texp) != l for tail, l in zip(ring._tails, ell) for texp, _ in tail):
-        raise InternalError("step matrices need homogeneous relations")
     k = ring.k
     # Each tail monomial's variables in increasing order, repeated by
     # exponent, split before the last one; relation i's tail grouped by the
     # prefix, as [(last, coefficient)].
     groups = []
-    for tail in ring._tails:
+    for i, tail in enumerate(ring._tails):
         group = {}
         for texp, c in tail:
+            if sum(texp) != ell[i]:
+                raise InternalError("step matrices need homogeneous relations")
             seq = tuple(j for j, t in enumerate(texp) for _ in range(t))
+            if seq[-1] <= i:
+                raise InternalError(
+                    f"step matrices need tails in generators above their own: relation {i}"
+                )
             group.setdefault(seq[:-1], []).append((seq[-1], c))
         groups.append(group)
     # By degree: the staircase monomials, sorted, their positions, the
@@ -190,8 +192,7 @@ def _step_matrices(ring: RingPresentation, degree: int):
 
     def tail_columns(i, rests, d):
         """-x^rest * tail_i on the degree d + 1 basis, one column per rest,
-        or None where a monomial has no generator above i or a partial sum
-        could reach 2^53."""
+        or None where a partial sum could reach 2^53."""
         lo = d + 1 - ell[i]
         bound = 0
         for prefix, terms in groups[i].items():
@@ -199,8 +200,6 @@ def _step_matrices(ring: RingPresentation, degree: int):
             for m, v in enumerate(prefix):
                 scale *= max(1, norms[lo + m][v])
             for j, c in terms:
-                if j <= i:
-                    return None
                 bound += scale * abs(c) * max(1, norms[d][j])
         if bound >= _EXACT:
             return None
@@ -714,7 +713,8 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
     pair of distinct classes must have distinct fingerprints, and the class
     count must match the recurrence table.  With `gl_bound`, additionally
     search for a ring isomorphism witness from every dissection to its
-    class representative.
+    class representative.  A slice outside that scope, or one whose
+    fingerprints need a grid past `_MAX_POINTS` points, raises ValueError.
     """
     if not (k <= 3 or k == n):
         raise ValueError("classification is checked for k <= 3 or k = n")
@@ -877,25 +877,3 @@ class ThreeCellTree:
             mid = (leaf,) * (m2 - 1) + (inner,)
             return SchroederTree((leaf,) * (m3 - 1) + (mid,))
         return SchroederTree(((leaf,) * m1,) + (leaf,) * (m3 - 2) + ((leaf,) * m2,))
-
-    def bottom_up_presentation(self) -> RingPresentation:
-        """The ring with generators numbered from the deepest vertex up.
-
-        Equals the preorder presentation of `tree()` after renumbering:
-        chained trees reverse the order, branched trees move the root last.
-        """
-        m1, m2, m3 = self.degrees
-        x1, x2, x3 = (IntPolynomial.variable(3, i) for i in range(3))
-        if self.chained:
-            relations = (
-                x1**m1,
-                x2 * (x1 + x2) ** (m2 - 1),
-                x3 * (x1 + x2 + x3) ** (m3 - 1),
-            )
-        else:
-            relations = (
-                x1**m1,
-                x2**m2,
-                x3 * (x2 + x3 - x1) * (x2 + x3) ** (m3 - 2),
-            )
-        return RingPresentation(("x1", "x2", "x3"), relations, (m1, m2, m3))

@@ -4,9 +4,10 @@ Streams are JSON lines, single results are one JSON document, tables are
 TSV.  Identical invocations produce byte-identical output, so every
 subcommand enumerates and serializes in a fixed order.  Exit codes: 0 for
 success or YES, 1 for NO or a failed verification, 2 for usage errors,
-malformed input or an --out file that cannot be opened, 3 for UNKNOWN, 4 for
-an internal error (a failed self-check, i.e. a bug).  A reader that closes the pipe early (``| head``) cuts the
-output short but changes neither the exit code nor stderr.
+malformed input, an --out file that cannot be opened or a classify grid past
+its point limit, 3 for UNKNOWN, 4 for an internal error (a failed
+self-check, i.e. a bug).  A reader that closes the pipe early (``| head``)
+cuts the output short but changes neither the exit code nor stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _sorted_json = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 class _InputError(Exception):
     """Unusable command input: missing file, bad JSON, invalid dissection,
-    an --out path that cannot be opened."""
+    an --out path that cannot be opened, a classify grid past its limit."""
 
 
 @contextlib.contextmanager
@@ -152,11 +153,14 @@ def cmd_classify(args) -> int:
         }
         for k, reps in by_k.items()
     ]
-    reports = [
-        verify_theorem1(args.n, k, args.bound)
-        for k in ks
-        if k <= 3 or k == args.n
-    ]
+    try:
+        reports = [
+            verify_theorem1(args.n, k, args.bound)
+            for k in ks
+            if k <= 3 or k == args.n
+        ]
+    except ValueError as exc:  # a fingerprint grid past the point limit
+        raise _InputError(str(exc)) from None
     if args.format == "tsv":
         lines = []
         for t in tables:

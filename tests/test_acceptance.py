@@ -3,11 +3,13 @@
 Each test prints a single line `criterion N (<name>): PASS|FAIL in <s>`
 (visible with `pytest -s` or in the verbose test listing) and enforces the
 stated runtime budget.  All comparisons are exact; there are no tolerances
-anywhere in the package.
+anywhere in the package.  One more test, which prints nothing, checks the
+rings criterion 7 builds against their closed forms.
 """
 
 import math
 import time
+from itertools import product
 
 from schroder.classify import (
     ThreeCellTree,
@@ -194,15 +196,39 @@ def test_criterion_6_classification_at_desk_scale():
     finish(6, "classification at desk scale", start, 900.0, failures)
 
 
-def chained_ring(m1, m2, m3):
-    return ThreeCellTree(chained=True, degrees=(m1, m2, m3)).bottom_up_presentation()
+# Criterion 7 states its identities with the generators numbered from the
+# deepest vertex up: the preorder reversed on chained trees, the root moved
+# last on branched ones.
+def bottom_up_ring(renumbered, chained, degrees):
+    ring = schroeder_presentation(ThreeCellTree(chained, degrees).tree())
+    return renumbered(ring, (2, 1, 0) if chained else (1, 2, 0))
 
 
-def branched_ring(m1, m2, m3):
-    return ThreeCellTree(chained=False, degrees=(m1, m2, m3)).bottom_up_presentation()
+def test_criterion_7_rings_are_the_bottom_up_closed_forms(renumbered):
+    # Every ring criterion 7 builds, against its relations written out.
+    x1, x2, x3 = (IntPolynomial.variable(3, i) for i in range(3))
+    cube = list(product(range(2, 5), repeat=3))
+    wide = [(2, m2, m3) for m2 in range(2, 6) for m3 in range(2, 6)]
+    got, want = [], []
+    for chained, triples in ((True, cube + wide), (False, cube)):
+        for m1, m2, m3 in triples:
+            ring = bottom_up_ring(renumbered, chained, (m1, m2, m3))
+            got.append((ring.relations, ring.staircase))
+            if chained:
+                relations = (x1**m1, x2 * (x1 + x2) ** (m2 - 1), x3 * (x1 + x2 + x3) ** (m3 - 1))
+            else:
+                relations = (x1**m1, x2**m2, x3 * (x2 + x3 - x1) * (x2 + x3) ** (m3 - 2))
+            want.append((relations, (m1, m2, m3)))
+    assert got == want
 
 
-def test_criterion_7_power_identities_and_nonexistence():
+def test_criterion_7_power_identities_and_nonexistence(renumbered):
+    def chained_ring(m1, m2, m3):
+        return bottom_up_ring(renumbered, True, (m1, m2, m3))
+
+    def branched_ring(m1, m2, m3):
+        return bottom_up_ring(renumbered, False, (m1, m2, m3))
+
     start = time.perf_counter()
     failures = []
 

@@ -368,8 +368,7 @@ def test_step_matrices_match_normal_form():
     rings = [schroeder_presentation(tree) for n in range(1, 8) for tree in class_trees(n)]
     for chained in (True, False):
         for degrees in [(2, 2, 2), (3, 2, 4), (4, 3, 2), (2, 4, 3)]:
-            t = ThreeCellTree(chained, degrees)
-            rings += [schroeder_presentation(t.tree()), t.bottom_up_presentation()]
+            rings.append(schroeder_presentation(ThreeCellTree(chained, degrees).tree()))
     for ring in rings:
         top = sum(ring.staircase) - ring.k
         got, want = _step_matrices(ring, top), normal_form_steps(ring, top)
@@ -382,10 +381,8 @@ def test_step_matrices_match_normal_form():
             assert growth == sum(max(np.abs(o).sum(axis=0), default=0) for o in oracle)
 
 
-def test_step_matrices_fill_tree_rows_without_normal_form(monkeypatch):
-    # A tree presentation's tails use only generators above their own, so
-    # every reduced row is filled from matrices already built.  Numbered
-    # bottom up, the tails use generators below, and those rows fall back.
+def counting_normal_form(monkeypatch):
+    """The rings `classify.normal_form` is called with, one per call."""
     calls = []
 
     def counting(p, ring):
@@ -393,15 +390,35 @@ def test_step_matrices_fill_tree_rows_without_normal_form(monkeypatch):
         return normal_form(p, ring)
 
     monkeypatch.setattr(classify, "normal_form", counting)
+    return calls
+
+
+def test_step_matrices_fill_tree_rows_without_normal_form(monkeypatch):
+    # A tree presentation's tails use only generators above their own, so
+    # every reduced row is filled from matrices already built.
+    calls = counting_normal_form(monkeypatch)
     for tree in class_trees(6):
         ring = schroeder_presentation(tree)
         _step_matrices(ring, sum(ring.staircase) - ring.k)
     assert calls == []
-    for chained in (True, False):
-        for degrees in [(2, 2, 2), (3, 2, 4), (4, 3, 2), (2, 4, 3)]:
-            ring = ThreeCellTree(chained, degrees).bottom_up_presentation()
-            _step_matrices(ring, sum(ring.staircase) - ring.k)
-    assert len(calls) == 78
+
+
+def test_step_matrices_refuse_tails_below_their_generator(monkeypatch, renumbered):
+    # Numbered bottom up, relations 1 and 2 have tails in generators below
+    # their own: the ring is refused at relation 1 before any matrix is
+    # built, while normal_form, which needs no order, still answers on it.
+    ring = renumbered(schroeder_presentation(ThreeCellTree(True, (3, 2, 4)).tree()), (2, 1, 0))
+    sp1 = schroeder_presentation(ThreeCellTree(True, (2, 3, 4)).tree())
+    calls = counting_normal_form(monkeypatch)
+    refusal = "tails in generators above their own: relation 1"
+    with pytest.raises(InternalError, match=refusal):
+        _step_matrices(ring, sum(ring.staircase) - ring.k)
+    with pytest.raises(InternalError, match=refusal):
+        _nilpotency_table(ring, _primitive_array(3, 1))
+    with pytest.raises(InternalError, match=refusal):
+        _gl_witness(sp1, ring, 1)
+    assert calls == []
+    assert min_vanishing_power((0, 1, 0), 7, ring) == 4
 
 
 def test_step_matrices_reduce_wide_tree_columns_by_normal_form(monkeypatch):
@@ -411,13 +428,7 @@ def test_step_matrices_reduce_wide_tree_columns_by_normal_form(monkeypatch):
     d = Dissection(18, ((9, 19),))
     ring = schroeder_presentation(dissection_to_tree(d))
     assert ring.staircase == (10, 10)
-    calls = []
-
-    def counting(p, ring):
-        calls.append(ring)
-        return normal_form(p, ring)
-
-    monkeypatch.setattr(classify, "normal_form", counting)
+    calls = counting_normal_form(monkeypatch)
     top = sum(ring.staircase) - ring.k
     got, want = _step_matrices(ring, top), normal_form_steps(ring, top)
     assert calls
@@ -540,8 +551,7 @@ def test_top_pairing_matches_normal_form():
     rings = [schroeder_presentation(tree) for n in range(1, 7) for tree in class_trees(n)]
     for chained in (True, False):
         for degrees in [(2, 2, 2), (3, 2, 4), (4, 3, 2), (2, 4, 3)]:
-            t = ThreeCellTree(chained, degrees)
-            rings += [schroeder_presentation(t.tree()), t.bottom_up_presentation()]
+            rings.append(schroeder_presentation(ThreeCellTree(chained, degrees).tree()))
     rings += [ZERO_TOP, UNIT_STAIRCASE]
     for ring in rings:
         top = sum(ring.staircase) - ring.k
@@ -908,13 +918,14 @@ def test_three_cell_trees():
 
 @pytest.mark.parametrize("chained", [True, False])
 @pytest.mark.parametrize("degrees", [(2, 2, 2), (3, 2, 4), (4, 3, 2), (2, 4, 3)])
-def test_bottom_up_presentation_matches_tree_route(chained, degrees):
+def test_bottom_up_presentation_matches_tree_route(renumbered, chained, degrees):
     # Generator i of the preorder route is generator sigma[i] of the
     # bottom-up one; chained trees reverse, branched trees cycle the root.
-    t = ThreeCellTree(chained, degrees)
+    # `renumbered` takes the inverse permutation: bottom-up generator j is
+    # preorder generator order[j].
     sigma = (2, 1, 0) if chained else (2, 0, 1)
-    sp = schroeder_presentation(t.tree())
-    bu = t.bottom_up_presentation()
+    sp = schroeder_presentation(ThreeCellTree(chained, degrees).tree())
+    bu = renumbered(sp, (2, 1, 0) if chained else (1, 2, 0))
     for i in range(3):
         assert sp.staircase[i] == bu.staircase[sigma[i]]
         moved = {}

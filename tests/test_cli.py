@@ -289,6 +289,11 @@ def test_argument_guards(capsys):
         assert code == 2
         assert not out
         assert "--k" in err and "Traceback" not in err
+    # k = n = 11 needs fingerprints over 5^11 points, past the 2^24 limit.
+    code, out, err = run(capsys, "classify", "--n", "11", "--k", "11")
+    assert code == 2
+    assert not out
+    assert err == "grid [-2, 2]^11 exceeds the limit of 16777216 points\n"
 
 
 # sha256 of the stdout of these commands, which must stay byte for byte the
@@ -309,6 +314,11 @@ GOLDEN = [
         ("classify", "--n", "4", "--format", "json", "--bound", "2"),
         0,
         "b7d6fd04f522b43a26a2e6cfebe6486480893446419f03194fe49c93a2b1862b",
+    ),
+    (
+        ("classify", "--n", "5", "--format", "json", "--bound", "2"),
+        0,
+        "f41937910394214137cb7088e7b12df632b2be1768484b48706d245f57bb74b6",
     ),
     (
         ("enumerate", "--n", "7"),
