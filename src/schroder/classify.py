@@ -12,7 +12,7 @@ All arithmetic is exact.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -645,6 +645,10 @@ def cohomology_isomorphic_bounded(
             "staircase exponent multisets differ: "
             f"{sorted(sp1.staircase)} vs {sorted(sp2.staircase)}",
         )
+    # Canonical codes hold each child count in one byte; the staircases are
+    # equal here, and a vertex's exponent is its child count.
+    if max(sp1.staircase) > 255:
+        return IsoVerdict("UNKNOWN", "vertices with more than 255 children are unsupported")
     # Equal codes give equal fingerprints by construction, so only trees of
     # different classes have fingerprints worth comparing.
     same_class = canonical_code(t1) == canonical_code(t2)
@@ -671,8 +675,23 @@ def cohomology_isomorphic_bounded(
     return IsoVerdict("UNKNOWN", f"no witness within coefficient bound {bound}")
 
 
+class _Report:
+    """What the report dataclasses below share: they pass when no check
+    failed, and serialise their own fields."""
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def to_json(self) -> dict:
+        """The fields in declaration order, tuples as lists, then ok."""
+        doc = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        doc["ok"] = self.ok
+        return doc
+
+
 @dataclass(frozen=True)
-class TheoremOneReport:
+class TheoremOneReport(_Report):
     """Result of checking one (n, k) slice of the classification.
 
     The variety classes (canonical codes) must be counted by the recurrence
@@ -688,22 +707,6 @@ class TheoremOneReport:
     dissection_count: int
     searches: int
     failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "class_count": self.class_count,
-            "expected_count": self.expected_count,
-            "dissection_count": self.dissection_count,
-            "searches": self.searches,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
 
 
 def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneReport:
@@ -764,7 +767,7 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
 
 
 @dataclass(frozen=True)
-class UniformTreeReport:
+class UniformTreeReport(_Report):
     """Result of the power check on trees with constant out-degree.
 
     For out-degree at least three, classes with different counts of
@@ -779,21 +782,6 @@ class UniformTreeReport:
     class_count: int
     l_sizes: tuple[int, ...]
     failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "internal": self.internal,
-            "n": self.n,
-            "class_count": self.class_count,
-            "l_sizes": list(self.l_sizes),
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
 
 
 def verify_prop_further(ell: int, internal: int) -> UniformTreeReport:

@@ -142,6 +142,16 @@ def cmd_iso(args) -> int:
 
 def cmd_classify(args) -> int:
     ks = range(1, args.n + 1) if args.k is None else [args.k]
+    try:
+        # Largest k first: only the k = n grid can pass the point limit, and
+        # then neither the smaller slices nor the tables need to run.
+        reports = [
+            verify_theorem1(args.n, k, args.bound)
+            for k in reversed(ks)
+            if k <= 3 or k == args.n
+        ][::-1]
+    except ValueError as exc:  # a fingerprint grid past the point limit
+        raise _InputError(str(exc)) from None
     by_k: dict[int, list] = {k: [] for k in ks}
     for tree in class_trees(args.n, args.k):
         by_k[tree.internal_count].append(tree_to_dissection(tree).diagonals)
@@ -153,14 +163,6 @@ def cmd_classify(args) -> int:
         }
         for k, reps in by_k.items()
     ]
-    try:
-        reports = [
-            verify_theorem1(args.n, k, args.bound)
-            for k in ks
-            if k <= 3 or k == args.n
-        ]
-    except ValueError as exc:  # a fingerprint grid past the point limit
-        raise _InputError(str(exc)) from None
     if args.format == "tsv":
         lines = []
         for t in tables:

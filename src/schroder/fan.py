@@ -35,27 +35,41 @@ def ray_vector(n: int, edge: Edge) -> tuple[int, ...]:
 def edge_order(d: Dissection) -> tuple[Edge, ...]:
     """Global edge index: sides {0,1}..{n,n+1}, then diagonals outermost first.
 
-    Sorting diagonals by (left endpoint, -right endpoint) lists every span
-    before the spans nested inside it, left to right; this is the depth-first
-    order of the nesting forest, the order combinatorics.nesting lists them
-    in, and the order subdivision consumes them in.
+    The diagonals come in the key order of combinatorics.nesting: every span
+    before the spans nested inside it, left to right, which is the order
+    subdivision consumes them in.
     """
-    sides = tuple((i, i + 1) for i in range(d.n + 1))
-    return sides + tuple(sorted(d.diagonals, key=lambda e: (e[0], -e[1])))
+    return _cells(d)[0]
 
 
-def _cells(d: Dissection) -> tuple[tuple[Edge, ...], tuple[frozenset[int], ...]]:
-    """edge_order(d), and each cell's edges but its distinguished one, as
-    ray-index sets.
+def _cells(
+    d: Dissection,
+) -> tuple[tuple[Edge, ...], dict[Edge, int], tuple[frozenset[int], ...]]:
+    """(edges, index, cells) from one combinatorics.nesting pass: the edges
+    in edge_order, each edge's ray number, and each cell's edges but its
+    distinguished one as ray-number sets.
 
     The cell under edge {a, b} is bounded by {a, b} together with the edges
-    directly inside its span, which combinatorics.nesting lists; {0, n+1}
-    bounds the outermost cell.  Cells are listed with the outermost first,
-    then by diagonal in the edge_order sense.
+    directly inside its span, which nesting lists; {0, n+1} bounds the
+    outermost cell.  Cells are listed with the outermost first, then by
+    diagonal in the edge_order sense.
+
+    The cells are checked to partition the rays into nonempty sets.  That
+    makes every cell a primitive collection of the fan of build_fan_direct,
+    whose cones are the ray sets that miss some ray of every cell: a cell
+    misses none of its own rays, so it lies in no cone, while the cell minus
+    any ray x misses x and, disjoint from the other nonempty cells, misses a
+    ray of each of them too.
     """
-    edges = edge_order(d)
-    index = _edge_index(edges).__getitem__
-    return edges, tuple(frozenset(map(index, kids)) for kids in nesting(d).values())
+    nest = nesting(d)
+    edges = tuple((i, i + 1) for i in range(d.n + 1)) + tuple(nest)[1:]
+    index = {e: i for i, e in enumerate(edges)}
+    cells = tuple(frozenset(map(index.__getitem__, kids)) for kids in nest.values())
+    m = len(edges)
+    # m memberships that cover all m rays leave no ray in two cells.
+    if not all(cells) or sum(map(len, cells)) != m or set().union(*cells) != set(range(m)):
+        raise InternalError(f"cells do not partition the {m} rays into nonempty sets")
+    return edges, index, cells
 
 
 @dataclass(frozen=True)
@@ -102,7 +116,7 @@ def build_fan_direct(d: Dissection) -> Fan:
     the complements of one-edge-per-cell transversals: all rays, with one
     bit per cell cleared.
     """
-    edges, cells = _cells(d)
+    edges, _, cells = _cells(d)
     cones = [(1 << len(edges)) - 1]
     for cell in cells:
         bits = [1 << i for i in cell]
@@ -261,31 +275,14 @@ def check_primitive_with(coll: frozenset[int], in_a_cone) -> None:
             raise InternalError(f"proper subset {sorted(sub)} is not a cone")
 
 
-def _checked_cells(d: Dissection):
-    """_cells(d), checked to partition the rays into nonempty cells.
-
-    That makes every cell a primitive collection of the fan of
-    build_fan_direct, whose cones are the ray sets that miss some ray of
-    every cell: a cell misses none of its own rays, so it lies in no cone,
-    while the cell minus any ray x misses x and, disjoint from the other
-    nonempty cells, misses a ray of each of them too.
-    """
-    edges, cells = _cells(d)
-    m = len(edges)
-    # m memberships that cover all m rays leave no ray in two cells.
-    if not all(cells) or sum(map(len, cells)) != m or set().union(*cells) != set(range(m)):
-        raise InternalError(f"cells do not partition the {m} rays into nonempty sets")
-    return edges, cells
-
-
 def primitive_collections(d: Dissection) -> tuple[frozenset[int], ...]:
     """The cell edge sets, as ray-index sets, outermost cell first.
 
     The cells are checked to partition the rays into nonempty sets, which
     makes each a primitive collection of the fan of build_fan_direct (see
-    _checked_cells).
+    _cells).
     """
-    return _checked_cells(d)[1]
+    return _cells(d)[2]
 
 
 @dataclass(frozen=True)
@@ -306,15 +303,10 @@ def primitive_relation(d: Dissection, collection: frozenset[int]) -> PrimitiveRe
     """Relation for one collection: zero for the outermost cell, else the
     single ray of the cell's distinguished edge, checked by exact vector
     arithmetic."""
-    edges, cells = _cells(d)
+    edges, index, cells = _cells(d)
     if collection not in cells:
         raise ValueError(f"{sorted(collection)} is not a primitive collection")
-    return _relation(d, edges, _edge_index(edges), collection)
-
-
-def _edge_index(edges) -> dict[Edge, int]:
-    """Each edge's position in `edges`."""
-    return {e: i for i, e in enumerate(edges)}
+    return _relation(d, edges, index, collection)
 
 
 def _relation(d: Dissection, edges, index, collection: frozenset[int]) -> PrimitiveRelation:
@@ -375,6 +367,5 @@ class FanoCertificate:
 
 def is_fano(d: Dissection) -> FanoCertificate:
     """Certificate that the variety of the dissection is Fano."""
-    edges, cells = _checked_cells(d)
-    index = _edge_index(edges)
+    edges, index, cells = _cells(d)
     return FanoCertificate(edges, tuple(_relation(d, edges, index, c) for c in cells))

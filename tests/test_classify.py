@@ -962,3 +962,19 @@ def test_fingerprint_constant_on_classes(n, data):
     d2 = data.draw(st.sampled_from(enumerate_dissections(n)))
     if variety_isomorphic(d1, d2):
         assert fingerprint(d1) == fingerprint(d2)
+
+
+@pytest.mark.parametrize(
+    "rows, d",
+    [
+        ([[2]], 2),
+        ([[1, 2], [2, 4]], 0),
+        ([[2, 1], [1, 2]], 3),
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 2]], -2),
+    ],
+    ids=["scalar", "singular", "det-3", "det-minus-2"],
+)
+def test_unimodular_inverse_rejects_other_determinants(rows, d):
+    with pytest.raises(ValueError) as info:
+        unimodular_inverse(rows)
+    assert str(info.value) == f"matrix has determinant {d}, expected +-1"

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import schroder
 import schroder.cli as cli
+from schroder.classify import verify_theorem1
 from schroder.cli import main
 from schroder.combinatorics import Dissection
 from schroder.errors import InternalError
@@ -137,6 +138,39 @@ def test_iso_declines_oversized_grid(capsys, tmp_path):
         "detail": "grid [-2, 2]^100 exceeds the limit of 1048576 points",
         "witness": None,
     }
+
+
+@pytest.mark.parametrize(
+    "n, code, status",
+    [(255, 3, "UNKNOWN"), (254, 0, "YES")],
+    ids=["256-children", "255-children"],
+)
+def test_iso_on_one_wide_cell(capsys, tmp_path, n, code, status):
+    """Canonical codes hold a child count in one byte: past 255 children the
+    answer is UNKNOWN, not a traceback."""
+    cell = write(tmp_path, "cell.json", json.dumps({"n": n, "diagonals": []}))
+    got, out, err = run(capsys, "iso", cell, cell, "--bound", "1")
+    assert (got, err) == (code, "")
+    doc = json.loads(out)
+    assert doc["status"] == status
+    if status == "UNKNOWN":
+        assert doc["detail"] == "vertices with more than 255 children are unsupported"
+
+
+def test_classify_refuses_before_other_slices(capsys, monkeypatch):
+    """The k = n slice is verified first, so a grid past the limit stops
+    classify before the k <= 3 slices run."""
+    seen = []
+
+    def recording(n, k, bound=None):
+        seen.append(k)
+        return verify_theorem1(n, k, bound)
+
+    monkeypatch.setattr(cli, "verify_theorem1", recording)
+    code, out, err = run(capsys, "classify", "--n", "11")
+    assert (code, out) == (2, "")
+    assert err == "grid [-2, 2]^11 exceeds the limit of 16777216 points\n"
+    assert seen == [11]
 
 
 def test_classify_table(capsys):

@@ -1,5 +1,7 @@
 """Cohomology presentations: the tree route, the fan route, and examples."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -198,6 +200,26 @@ def test_eliminate_rejects_foreign_tree():
     other = dissection_to_tree(Dissection(8, ((1, 3), (3, 8), (4, 8))))
     with pytest.raises(InternalError):
         eliminate(dj, other)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda dj: {"linear": dj.linear[1:]}, "expected 8 linear relations"),
+        (lambda dj: {"linear": (IntPolynomial.zero(3),) + dj.linear[1:]},
+         "linear relations must use one variable per ray"),
+        (lambda dj: {"collections": dj.collections + ((0, 12),)},
+         "collection (0, 12) uses unknown rays"),
+        (lambda dj: {"collections": ((-1, 3),)}, "collection (-1, 3) uses unknown rays"),
+    ],
+    ids=["too-few-linear", "linear-wrong-nvars", "ray-past-end", "negative-ray"],
+)
+def test_dj_presentation_checks_pin_their_messages(change, message):
+    dj = dj_presentation(build_fan_direct(RUNNING))
+    assert len(dj.edges) == 12
+    with pytest.raises(ValueError) as info:
+        replace(dj, **change(dj))
+    assert str(info.value) == message
 
 
 def test_presentation_metadata_length_checked():

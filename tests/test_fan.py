@@ -42,7 +42,7 @@ def _direct_sets(d):
     """build_fan_direct as first written, with ray-index frozensets for
     cones: the complements of one-edge-per-cell transversals.  Kept as the
     oracle for the mask builders."""
-    edges, cells = _cells(d)
+    edges, _, cells = _cells(d)
     everything = frozenset(range(len(edges)))
     return frozenset(everything - frozenset(drop) for drop in product(*cells))
 
@@ -299,7 +299,7 @@ def test_cell_and_mask_checks_match_the_full_cone_check():
             fan = build_fan_direct(d)
             cones = fan.max_cones
             by_masks = omission_masks(cones, len(fan.rays))[1]
-            cells = _cells(d)[1]
+            cells = _cells(d)[2]
             candidates = [(cell, None) for cell in cells]
             for i, cell in enumerate(cells):
                 candidates.append((cell - {min(cell)}, "lies in a cone"))
@@ -324,14 +324,20 @@ def test_cell_and_mask_checks_match_the_full_cone_check():
     ids=["overlapping", "ray-left-out", "empty-cell", "overlap-hiding-a-gap"],
 )
 def test_checked_cells_rejects_non_partitions(monkeypatch, cells):
-    d = Dissection(2, ())
-    edges = edge_order(d)
-    assert len(edges) == 3
-    monkeypatch.setattr(fan_module, "_cells", lambda _: (edges, cells))
+    """Every reader of the cells refuses cells that do not partition the
+    rays.  They are injected through nesting, whose keys after the first
+    are the diagonals: three rays in all, the n + 1 sides and one made-up
+    diagonal per cell after the first."""
+    d = Dissection(3 - len(cells), ())
+    edges = [(i, i + 1) for i in range(d.n + 1)] + [(0, 9)] * (len(cells) - 1)
+    keys = [(0, d.n + 1)] + edges[d.n + 1 :]
+    fake = {key: [edges[i] for i in sorted(cell)] for key, cell in zip(keys, cells)}
+    monkeypatch.setattr(fan_module, "nesting", lambda _: fake)
+    for reader in (primitive_collections, is_fano, build_fan_direct):
+        with pytest.raises(InternalError, match="do not partition the 3 rays"):
+            reader(d)
     with pytest.raises(InternalError, match="do not partition the 3 rays"):
-        primitive_collections(d)
-    with pytest.raises(InternalError, match="do not partition the 3 rays"):
-        is_fano(d)
+        primitive_relation(d, cells[0])
 
 
 def test_one_large_cell_is_certified():
@@ -382,6 +388,15 @@ def test_positive_degrees_certify_fano():
             cert = is_fano(d)
             assert cert
             assert all(rel.degree >= 1 for rel in cert.relations)
+
+
+@pytest.mark.parametrize(
+    "d, degrees",
+    [(RUNNING, (3, 1, 2, 3)), (Dissection(3, ()), (4,)), (Dissection(3, ((0, 2),)), (3, 1))],
+    ids=["running", "one-cell", "two-cells"],
+)
+def test_certificate_degrees(d, degrees):
+    assert is_fano(d).degrees == degrees
 
 
 def test_certificate_json_shape():

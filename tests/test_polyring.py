@@ -2,11 +2,14 @@
 
 import json
 import math
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from schroder.cohomology import schroeder_presentation
+from schroder.combinatorics import class_trees
 from schroder.polyring import (
     IntPolynomial,
     RingPresentation,
@@ -124,6 +127,30 @@ def test_presentation_validation():
         RingPresentation((), (), ())
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: IntPolynomial.variable(2, 2), "variable index 2 out of range"),
+        (lambda: IntPolynomial.variable(2, -1), "variable index -1 out of range"),
+        (lambda: RingPresentation(("x",), (xvar(0, 1),), (0,)),
+         "staircase bounds must be positive"),
+        (lambda: RingPresentation(("x", "y"), (xvar(0) ** 2, "y^2"), (2, 2)),
+         "relation 1 is not a polynomial in 2 variables"),
+        (lambda: RingPresentation(("x", "y"), (xvar(0, 3) ** 2, xvar(1) ** 2), (2, 2)),
+         "relation 0 is not a polynomial in 2 variables"),
+        (lambda: normal_form(xvar(0), TEST_RING), "polynomial has 2 variables, ring has 3"),
+    ],
+    ids=[
+        "variable-past-end", "variable-negative", "staircase-zero",
+        "relation-not-polynomial", "relation-wrong-nvars", "normal-form-wrong-nvars",
+    ],
+)
+def test_public_checks_pin_their_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_substitution_cycles_rejected():
     x, y = xvar(0), xvar(1)
     with pytest.raises(ValueError, match="triangular"):
@@ -232,3 +259,34 @@ def test_hilbert_series_total_and_symmetry(staircase):
     series = hilbert_series(ring)
     assert sum(series) == math.prod(staircase)
     assert series == series[::-1]
+
+
+def test_normal_form_matches_sympy_lex_reduction():
+    """A third oracle for normal_form: sympy's reduction by a Groebner basis.
+
+    With the generators in preorder, x_0 > x_1 > ... in lex order, the lex
+    leading term of relation i is x_i^(l_i).  Leading terms that are powers
+    of distinct generators are pairwise coprime, so the relations are a
+    Groebner basis, and the remainder of any p is its unique normal form.
+    """
+    sympy = pytest.importorskip("sympy")
+
+    def expr(p, gens):
+        return sympy.Add(*(c * sympy.Mul(*map(sympy.Pow, gens, e)) for e, c in p.terms.items()))
+
+    rng = random.Random(20)
+    for n in range(1, 6):
+        for tree in class_trees(n):
+            ring = schroeder_presentation(tree)
+            gens = [sympy.Symbol(f"x{i}") for i in range(ring.k)]
+            relations = [expr(r, gens) for r in ring.relations]
+            for g, l, rel in zip(gens, ring.staircase, relations):
+                assert sympy.LT(rel, *gens, order="lex") == g**l
+            for _ in range(3):
+                terms = [
+                    (tuple(rng.randrange(l + 2) for l in ring.staircase), rng.randint(-5, 5))
+                    for _ in range(4)
+                ]
+                p = IntPolynomial(ring.k, terms)
+                _, remainder = sympy.reduced(expr(p, gens), relations, *gens, order="lex")
+                assert sympy.expand(remainder - expr(normal_form(p, ring), gens)) == 0
