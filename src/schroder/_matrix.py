@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from .errors import InternalError
-
 
 def det(rows) -> int:
     """Determinant by fraction-free elimination; every division is exact."""
@@ -52,27 +50,3 @@ def rank(rows) -> int:
             break
     return rk
 
-
-def unimodular_inverse(rows) -> list[list[int]]:
-    """Inverse of a matrix with determinant +-1, as an integer matrix."""
-    g = [list(r) for r in rows]
-    k = len(g)
-    d = det(g)
-    if d not in (1, -1):
-        raise ValueError(f"matrix has determinant {d}, expected +-1")
-
-    def minor(i, j):
-        return [
-            [g[r][c] for c in range(k) if c != j] for r in range(k) if r != i
-        ]
-
-    inv = [
-        [(-1) ** (i + j) * det(minor(j, i)) * d for j in range(k)]
-        for i in range(k)
-    ]
-    for i in range(k):
-        for j in range(k):
-            s = sum(g[i][t] * inv[t][j] for t in range(k))
-            if s != (1 if i == j else 0):
-                raise InternalError("inverse check failed")
-    return inv

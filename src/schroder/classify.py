@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._matrix import det, rank, unimodular_inverse
+from ._matrix import det, rank
 from .combinatorics import (
     Dissection,
     SchroederTree,
@@ -91,6 +91,18 @@ def _bottoms(tree: SchroederTree) -> frozenset[int]:
     )
 
 
+def _staircase(tree: SchroederTree) -> list[int]:
+    """The staircase exponents of the tree's ring, sorted: one per internal
+    vertex, its child count, from one pass over the nodes."""
+    counts, stack = [], [tree.shape]
+    while stack:
+        node = stack.pop()
+        if node:
+            counts.append(len(node))
+            stack += node
+    return sorted(counts)
+
+
 # `_primitive_array` and `_candidate_array` build no grid past this many
 # points, 2^24.  Every grid of `classify --n 10` fits (5^10 points at
 # k = n = 10); past it np.indices runs out of axes (at k > 64) or of memory
@@ -98,15 +110,21 @@ def _bottoms(tree: SchroederTree) -> frozenset[int]:
 _MAX_POINTS = 2**24
 
 
+def _check_points(k: int, bound: int) -> None:
+    """Raise ValueError naming the grid [-bound, bound]^k if it has more
+    than `_MAX_POINTS` points."""
+    if (2 * bound + 1) ** k > _MAX_POINTS:
+        raise ValueError(
+            f"grid [-{bound}, {bound}]^{k} exceeds the limit of {_MAX_POINTS} points"
+        )
+
+
 def _grid(k: int, bound: int, dtype) -> np.ndarray:
     """Every point of [-bound, bound]^k, one row each, in lexicographic order.
 
     A grid of more than `_MAX_POINTS` points raises ValueError naming it.
     """
-    if (2 * bound + 1) ** k > _MAX_POINTS:
-        raise ValueError(
-            f"grid [-{bound}, {bound}]^{k} exceeds the limit of {_MAX_POINTS} points"
-        )
+    _check_points(k, bound)
     return np.indices((2 * bound + 1,) * k, dtype=dtype).reshape(k, -1).T - bound
 
 
@@ -501,36 +519,6 @@ class IsoVerdict:
         }
 
 
-def _mapped_relation_vanishes(
-    factors, rows, target: SchroederPresentation
-) -> bool:
-    """Whether a relation, given by its linear factors, maps to zero.
-
-    `rows[i]` is the image of generator i as a coefficient vector over the
-    target generators; only rows touched by the factors need to be set.
-    """
-    k = target.k
-    poly = IntPolynomial.constant(k, 1)
-    for fvec in factors:
-        img = [0] * k
-        for s, c in enumerate(fvec):
-            if c:
-                row = rows[s]
-                for t in range(k):
-                    img[t] += c * row[t]
-        poly = normal_form(poly * IntPolynomial.linear(img), target)
-        if not poly:
-            return True
-    return not poly
-
-
-def _maps_to_zero(source: SchroederPresentation, rows, target: SchroederPresentation) -> bool:
-    """Whether every relation of `source` maps to zero in `target` via `rows`."""
-    return all(
-        _mapped_relation_vanishes(facs, rows, target) for facs in source.factors
-    )
-
-
 # The fingerprints take one row per point of [-l, l]^k, with l the largest
 # staircase exponent, and the witness search one per point of
 # [-bound, bound]^k.  `cohomology_isomorphic_bounded` allocates neither grid
@@ -588,7 +576,23 @@ def _gl_witness(
     so rows are assigned from the last upwards and each relation is checked
     as soon as its row is placed, for a block of candidates at a time on
     sp2's step matrices; the candidates that pass go on, in order, to rank
-    pruning, which discards dependent prefixes.
+    pruning, which discards dependent prefixes.  The first full matrix g
+    with det(g) = +-1 is the witness.
+
+    The caller must have established that the two staircase multisets are
+    equal, as `cohomology_isomorphic_bounded` does before it searches.  Then
+    the substitution by g^-1 sends sp2's relations to zero in sp1, and needs
+    no check of its own:
+    - the substitution phi: x_i -> sum_j g_ij y_j sends every relation of
+      sp1 to zero in sp2, exactly, so it induces a graded ring map R1 -> R2;
+    - phi is onto: g is invertible over Z, so each y_j is the image of a
+      linear form;
+    - `RingPresentation` validates monic leading terms x_i^(l_i) and
+      triangular tails, so the staircase monomials are a Z-basis of each
+      ring in each degree, and equal staircase multisets give equal ranks
+      degree by degree;
+    - a surjective Z-linear map between free modules of equal finite rank
+      is bijective, so phi is an isomorphism, and g^-1 gives its inverse.
     """
     k = sp1.k
     candidates = _candidate_array(k, bound)
@@ -610,12 +614,8 @@ def _gl_witness(
                     found = place(i - 1)
                     if found:
                         return found
-                else:
-                    g = [list(r) for r in rows]
-                    if abs(det(g)) == 1 and _maps_to_zero(
-                        sp2, unimodular_inverse(g), sp1
-                    ):
-                        return tuple(rows)
+                elif abs(det(rows)) == 1:
+                    return tuple(rows)
         rows[i] = None
         return None
 
@@ -636,27 +636,25 @@ def cohomology_isomorphic_bounded(
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     t1, t2 = dissection_to_tree(d1), dissection_to_tree(d2)
-    sp1, sp2 = schroeder_presentation(t1), schroeder_presentation(t2)
-    if sp1.k != sp2.k:
-        return IsoVerdict("NO", f"generator counts differ: {sp1.k} vs {sp2.k}")
-    if sorted(sp1.staircase) != sorted(sp2.staircase):
+    ell1, ell2 = _staircase(t1), _staircase(t2)
+    k = len(ell1)
+    if k != len(ell2):
+        return IsoVerdict("NO", f"generator counts differ: {k} vs {len(ell2)}")
+    if ell1 != ell2:
         return IsoVerdict(
-            "NO",
-            "staircase exponent multisets differ: "
-            f"{sorted(sp1.staircase)} vs {sorted(sp2.staircase)}",
+            "NO", f"staircase exponent multisets differ: {ell1} vs {ell2}"
         )
-    # Canonical codes hold each child count in one byte; the staircases are
-    # equal here, and a vertex's exponent is its child count.
-    if max(sp1.staircase) > 255:
+    # Canonical codes hold each child count in one byte.
+    if ell1[-1] > 255:
         return IsoVerdict("UNKNOWN", "vertices with more than 255 children are unsupported")
     # Equal codes give equal fingerprints by construction, so only trees of
     # different classes have fingerprints worth comparing.
     same_class = canonical_code(t1) == canonical_code(t2)
-    widest = max(bound, 0 if same_class else max(sp1.staircase))
-    if (2 * widest + 1) ** sp1.k > _MAX_GRID:
+    widest = max(bound, 0 if same_class else ell1[-1])
+    if (2 * widest + 1) ** k > _MAX_GRID:
         return IsoVerdict(
             "UNKNOWN",
-            f"grid [-{widest}, {widest}]^{sp1.k} exceeds the limit of {_MAX_GRID} points",
+            f"grid [-{widest}, {widest}]^{k} exceeds the limit of {_MAX_GRID} points",
         )
     if not same_class:
         fp1, fp2 = _tree_fingerprint(t1), _tree_fingerprint(t2)
@@ -667,11 +665,12 @@ def cohomology_isomorphic_bounded(
         ]
         if fields:
             return IsoVerdict("NO", f"fingerprints differ in {', '.join(fields)}")
-    witness = _gl_witness(sp1, sp2, bound) if bound else None
-    if witness is not None:
-        return IsoVerdict(
-            "YES", f"unimodular substitution with entries in [-{bound}, {bound}]", witness
-        )
+    if bound:
+        witness = _gl_witness(schroeder_presentation(t1), schroeder_presentation(t2), bound)
+        if witness is not None:
+            return IsoVerdict(
+                "YES", f"unimodular substitution with entries in [-{bound}, {bound}]", witness
+            )
     return IsoVerdict("UNKNOWN", f"no witness within coefficient bound {bound}")
 
 
@@ -721,6 +720,10 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
     """
     if not (k <= 3 or k == n):
         raise ValueError("classification is checked for k <= 3 or k = n")
+    # The slice's widest class, one vertex with n - k + 2 children and the
+    # others with two, has the largest fingerprint grid; refuse before
+    # generating any class.
+    _check_points(k, n - k + 2)
     failures = []
     trees = class_trees(n, k)
     expected = riordan_table(n + 1).s(n + 1, k)

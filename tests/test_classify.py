@@ -14,8 +14,6 @@ import schroder.classify as classify
 from schroder.classify import (
     ThreeCellTree,
     _gl_witness,
-    _mapped_relation_vanishes,
-    _maps_to_zero,
     _nilpotency_table,
     _primitive_array,
     _step_matrices,
@@ -28,7 +26,7 @@ from schroder.classify import (
     verify_prop_further,
     verify_theorem1,
 )
-from schroder._matrix import det, rank, unimodular_inverse
+from schroder._matrix import det, rank
 from schroder.cohomology import schroeder_presentation
 from schroder.combinatorics import (
     Dissection,
@@ -564,9 +562,49 @@ def test_top_pairing_matches_normal_form():
             assert weight == np.abs(oracle).sum()
 
 
+def mapped_relation_vanishes(factors, rows, target):
+    """Whether a relation, given by its linear factors, maps to zero in
+    `target` when generator s goes to the form `rows[s]`, by `normal_form`
+    on polynomials; only the rows the factors touch need to be set."""
+    k = target.k
+    poly = IntPolynomial.constant(k, 1)
+    for fvec in factors:
+        img = [0] * k
+        for s, c in enumerate(fvec):
+            if c:
+                img = [a + c * b for a, b in zip(img, rows[s])]
+        poly = normal_form(poly * IntPolynomial.linear(img), target)
+        if not poly:
+            return True
+    return not poly
+
+
+def maps_to_zero(source, rows, target):
+    """Whether every relation of `source` maps to zero in `target` via `rows`."""
+    return all(mapped_relation_vanishes(facs, rows, target) for facs in source.factors)
+
+
+def cofactor_inverse(g):
+    """The inverse of an integer matrix with determinant +-1, by cofactors."""
+    k, d = len(g), det(g)
+    assert d in (1, -1)
+
+    def minor(i, j):
+        return [[g[r][c] for c in range(k) if c != j] for r in range(k) if r != i]
+
+    inv = [[(-1) ** (i + j) * det(minor(j, i)) * d for j in range(k)] for i in range(k)]
+    assert all(
+        sum(g[i][t] * inv[t][j] for t in range(k)) == (i == j)
+        for i in range(k)
+        for j in range(k)
+    )
+    return inv
+
+
 def per_candidate_witness(sp1, sp2, bound):
     """The witness search as it was first written: every candidate row
-    takes its own rank test and its own normal_form chain."""
+    takes its own rank test and its own normal_form chain, and a full
+    matrix must also pass the inverse check."""
     k = sp1.k
     candidates = sorted(
         (v for v in product(range(-bound, bound + 1), repeat=k) if any(v)),
@@ -579,7 +617,7 @@ def per_candidate_witness(sp1, sp2, bound):
             rows[i] = cand
             if rank(rows[i:]) != k - i:
                 continue
-            if not _mapped_relation_vanishes(sp1.factors[i], rows, sp2):
+            if not mapped_relation_vanishes(sp1.factors[i], rows, sp2):
                 continue
             if i:
                 found = place(i - 1)
@@ -587,9 +625,7 @@ def per_candidate_witness(sp1, sp2, bound):
                     return found
             else:
                 g = [list(r) for r in rows]
-                if abs(det(g)) == 1 and _maps_to_zero(
-                    sp2, unimodular_inverse(g), sp1
-                ):
+                if abs(det(g)) == 1 and maps_to_zero(sp2, cofactor_inverse(g), sp1):
                     return tuple(rows)
         rows[i] = None
         return None
@@ -616,6 +652,19 @@ def test_batched_witness_matches_per_candidate_search(n):
                 assert _gl_witness(sp1, sp2, bound) == per_candidate_witness(
                     sp1, sp2, bound
                 )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_witness_inverse_sends_relations_to_zero(n):
+    # `_gl_witness` makes no inverse check, which equal staircases make
+    # redundant; this runs it on every witness the search returns.
+    for k in range(1, n + 1):
+        for sp1, sp2 in class_pairs(n, k):
+            for bound in (1, 2):
+                g = _gl_witness(sp1, sp2, bound)
+                assert g is not None
+                assert maps_to_zero(sp1, g, sp2)
+                assert maps_to_zero(sp2, cofactor_inverse(g), sp1)
 
 
 def test_witness_search_falls_back_exactly(monkeypatch):
@@ -725,6 +774,31 @@ def test_iso_builds_each_tree_once(monkeypatch):
     pentagon = Dissection(3, ((1, 4),)), Dissection(3, ((0, 3),))
     assert cohomology_isomorphic_bounded(*pentagon, 2).status == "YES"
     assert calls == list(pentagon)
+
+
+def test_iso_builds_presentations_only_for_the_search(monkeypatch):
+    calls = []
+
+    def counting(tree):
+        calls.append(tree)
+        return schroeder_presentation(tree)
+
+    monkeypatch.setattr(classify, "schroeder_presentation", counting)
+    staircases = Dissection(4, ((1, 4),)), Dissection(4, ((1, 3),))
+    assert cohomology_isomorphic_bounded(*staircases, 2).status == "NO"
+    assert calls == []
+    # Mirror combs: the right one's presentation is cubic in n, and the
+    # grid refusal needs neither.
+    n = 2000
+    left = Dissection(n, tuple((0, j) for j in range(2, n + 1)))
+    right = Dissection(n, tuple((j, n + 1) for j in range(1, n)))
+    verdict = cohomology_isomorphic_bounded(left, right, 2)
+    assert verdict.status == "UNKNOWN"
+    assert verdict.detail == f"grid [-2, 2]^{n} exceeds the limit of 1048576 points"
+    assert calls == []
+    pentagon = Dissection(3, ((1, 4),)), Dissection(3, ((0, 3),))
+    assert cohomology_isomorphic_bounded(*pentagon, 2).status == "YES"
+    assert len(calls) == 2
 
 
 def test_same_class_iso_skips_fingerprints(monkeypatch):
@@ -856,6 +930,16 @@ def test_theorem1_scope_is_guarded():
         verify_theorem1(7, 5)
 
 
+def test_theorem1_refuses_wide_grids_before_generating_classes(monkeypatch):
+    def refuse(n, k=None):
+        raise AssertionError(f"classes of n = {n}, k = {k} generated")
+
+    monkeypatch.setattr(classify, "class_trees", refuse)
+    message = r"^grid \[-2, 2\]\^40 exceeds the limit of 16777216 points$"
+    with pytest.raises(ValueError, match=message):
+        verify_theorem1(40, 40)
+
+
 def test_theorem1_report_json():
     doc = verify_theorem1(3, 3).to_json()
     assert doc["ok"] is True
@@ -962,19 +1046,3 @@ def test_fingerprint_constant_on_classes(n, data):
     d2 = data.draw(st.sampled_from(enumerate_dissections(n)))
     if variety_isomorphic(d1, d2):
         assert fingerprint(d1) == fingerprint(d2)
-
-
-@pytest.mark.parametrize(
-    "rows, d",
-    [
-        ([[2]], 2),
-        ([[1, 2], [2, 4]], 0),
-        ([[2, 1], [1, 2]], 3),
-        ([[0, 1, 0], [1, 0, 0], [0, 0, 2]], -2),
-    ],
-    ids=["scalar", "singular", "det-3", "det-minus-2"],
-)
-def test_unimodular_inverse_rejects_other_determinants(rows, d):
-    with pytest.raises(ValueError) as info:
-        unimodular_inverse(rows)
-    assert str(info.value) == f"matrix has determinant {d}, expected +-1"

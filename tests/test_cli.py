@@ -276,12 +276,14 @@ def _large_near_valid(draw):
     return json.dumps({"n": n, "diagonals": fan + extra}).encode()
 
 
-# fano is linear in n, so its first document may be large; cohomology and
-# iso keep n small.
+# fano is linear in n, and iso reads its verdicts on large trees from child
+# counts and canonical codes, so their first document may be large;
+# cohomology writes a presentation whose size grows faster than n and keeps
+# n small.
 _FIRST_DOCUMENT = {
     "fano": _DOCUMENT_BYTES | _large_near_valid(),
     "cohomology": _DOCUMENT_BYTES,
-    "iso": _DOCUMENT_BYTES,
+    "iso": _DOCUMENT_BYTES | _large_near_valid(),
 }
 
 
