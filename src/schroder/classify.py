@@ -22,6 +22,8 @@ from .combinatorics import (
     Dissection,
     SchroederTree,
     _canonical_shapes,
+    _cells,
+    _class_shapes,
     canonical_code,
     canonical_form,
     class_trees,
@@ -63,11 +65,12 @@ def _group(trees) -> dict[bytes, list[SchroederTree]]:
 def count_classes(n: int, k: int | None = None) -> int:
     """Number of isomorphism classes of varieties from dissections of P_{n+2}.
 
-    Counts the generated class trees and cross-checks the count for every
-    number of cells against the coefficient table of the generating-function
-    recurrence, an independent route to the same numbers.
+    Counts the generated classes by the cell counts of their codes, without
+    building trees, and cross-checks the count for every number of cells
+    against the coefficient table of the generating-function recurrence, an
+    independent route to the same numbers.
     """
-    per_cells = Counter(tree.internal_count for tree in class_trees(n, k))
+    per_cells = Counter(_cells(code) for code, _ in _class_shapes(n, k))
     table = riordan_table(n + 1)
     for cells in range(1, n + 1) if k is None else [k]:
         if per_cells[cells] != table.s(n + 1, cells):

@@ -94,14 +94,15 @@ def _load_dissection(path: str) -> Dissection:
 def cmd_enumerate(args) -> int:
     """Write each record as soon as it is made, then the count trailer.
 
-    A record is assembled as the text _sorted_json makes of its document:
-    keys "diagonals", "n", "tree" in that order, the default separators.
+    A record is assembled from its JSON texts as _sorted_json would write
+    its document: keys "diagonals", "n", "tree" in that order, the default
+    separators.
     """
     with _output(args.out) as fh:
         count = 0
         middle = f', "n": {args.n}, "tree": '
-        for diagonals, tree in _dissection_records(args.n, args.k):
-            fh.write('{"diagonals": ' + _sorted_json(diagonals) + middle + tree + "}\n")
+        for _, diagonals, tree in _dissection_records(args.n, args.k):
+            fh.write('{"diagonals": ' + diagonals + middle + tree + "}\n")
             count += 1
         ks = range(1, args.n + 1) if args.k is None else [args.k]
         if count != sum(kirkman_cayley(args.n, k) for k in ks):

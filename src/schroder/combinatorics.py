@@ -203,41 +203,49 @@ def phi_labels(tree: SchroederTree) -> dict[Path, Edge]:
 
 
 def _check_diagonals(n: int, diagonals) -> None:
-    """Raise ValueError unless the distinct pairs `diagonals` are the
-    diagonals of a dissection of the polygon on 0..n+1."""
+    """Raise ValueError unless `diagonals`, distinct (i, j) pairs in sorted
+    order (as Dissection stores them), are the diagonals of a dissection of
+    the polygon on 0..n+1.
+
+    One pass decides.  In nesting order, by (left end, -right end), the
+    spans still open form a chain, and a diagonal that starts inside the
+    innermost one but ends beyond it crosses it; if two diagonals cross,
+    that happens at the second of them or before.  Sorted order is nesting
+    order except that a run of diagonals with one left end comes innermost
+    first, so each right end goes onto the stack of open right ends below
+    the run's earlier ones, and is tested against the end below the run.
+    The range, side and distinguished-edge tests ride in the same loop.
+    """
+    stack = [n + 1]  # open right ends, innermost last; n + 1 closes {0, n+1}
+    left = run = None
+    for a, b in diagonals:
+        # In range, not a side (b - a > 1), not {0, n+1}.
+        if not 0 <= a < b - 1 <= n - (a == 0):
+            break
+        if a != left:
+            while stack[-1] <= a:
+                stack.pop()
+            left, run = a, len(stack)
+        if stack[run - 1] < b:
+            break
+        stack.insert(run, b)
+    else:
+        return
+    raise ValueError(_fault(n, diagonals))
+
+
+def _fault(n: int, diagonals) -> str:
+    """Why _check_diagonals rejects `diagonals`: the first pair out of range,
+    a side or {0, n+1}, else the lexicographically first crossing pair."""
     for i, j in diagonals:
         if not (0 <= i < j <= n + 1):
-            raise ValueError(f"diagonal {(i, j)} out of range for n={n}")
+            return f"diagonal {(i, j)} out of range for n={n}"
         if j - i == 1:
-            raise ValueError(f"{(i, j)} is a polygon side, not a diagonal")
+            return f"{(i, j)} is a polygon side, not a diagonal"
         if i == 0 and j == n + 1:
-            raise ValueError("the distinguished edge {0, n+1} is not a diagonal")
-    _nest_diagonals(n, diagonals)  # raises on a crossing
-
-
-def _nest_diagonals(n: int, diagonals) -> dict[Edge, list[Edge]]:
-    """For {0, n+1} and each diagonal, outermost first and then by (left end,
-    -right end), the diagonals directly inside it from left to right.
-
-    Visiting the diagonals in that order, the spans still open form a chain
-    on a stack.  A diagonal that starts inside the innermost open span but
-    ends beyond it crosses that span, and if two diagonals cross, the pass
-    meets that case at the second of them or before.  The error names the
-    first crossing pair in lexicographic order.
-    """
-    outer = (0, n + 1)
-    inside: dict[Edge, list[Edge]] = {outer: []}
-    stack = [outer]
-    for a, b in sorted(diagonals, key=lambda e: (e[0], -e[1])):
-        while stack[-1][1] <= a:
-            stack.pop()
-        if stack[-1][1] < b:
-            e, f = next(p for p in combinations(sorted(diagonals), 2) if _cross(*p))
-            raise ValueError(f"diagonals {e} and {f} cross")
-        inside[stack[-1]].append((a, b))
-        inside[(a, b)] = []
-        stack.append((a, b))
-    return inside
+            return "the distinguished edge {0, n+1} is not a diagonal"
+    e, f = next(p for p in combinations(diagonals, 2) if _cross(*p))
+    return f"diagonals {e} and {f} cross"
 
 
 def nesting(d: Dissection) -> dict[Edge, list[Edge]]:
@@ -245,10 +253,22 @@ def nesting(d: Dissection) -> dict[Edge, list[Edge]]:
     included, from left to right: the children of its tree vertex.
 
     Keys run outermost first, then by (left end, -right end), so every
-    diagonal comes after the edge it lies inside.
+    diagonal comes after the edge it lies inside.  Visiting the diagonals in
+    that order, the spans still open form a chain on a stack, and each
+    diagonal lies directly inside the innermost one it starts in; `d` is
+    valid, so no diagonal ends beyond it.
     """
+    outer = (0, d.n + 1)
+    inside: dict[Edge, list[Edge]] = {outer: []}
+    stack = [outer]
+    for a, b in sorted(d.diagonals, key=lambda e: (e[0], -e[1])):
+        while stack[-1][1] <= a:
+            stack.pop()
+        inside[stack[-1]].append((a, b))
+        inside[(a, b)] = []
+        stack.append((a, b))
     out = {}
-    for (lo, hi), diags in _nest_diagonals(d.n, d.diagonals).items():
+    for (lo, hi), diags in inside.items():
         kids, v = [], lo
         for a, b in diags:
             while v < a:
@@ -377,18 +397,24 @@ def dissection_trees(n: int, k: int | None = None) -> list[SchroederTree]:
 
 
 def _dissection_records(n: int, k: int | None = None):
-    """(diagonals, nested-array JSON of the tree) of each
+    """(diagonals, their JSON, nested-array JSON of the tree) of each
     dissection_trees(n, k) member, in that order, assembled from the
     fragments of the root's children without building trees or dissections.
 
-    The diagonals are sorted (i, j) pairs; they pass the checks Dissection
-    makes.
+    The diagonals are sorted (i, j) pairs, and the JSON texts are what
+    json.dumps makes of them and of the tree's array.  Each record passes
+    the check Dissection makes, or InternalError names it.
     """
     for labels, texts in _joined(n + 1, k):
         pairs = iter(labels)
         diagonals = list(zip(pairs, pairs))
-        _check_diagonals(n, diagonals)
-        yield diagonals, "[" + texts + "]"
+        # The JSON of a list of int pairs, from one format per record.
+        text = ("[" + (", [%d, %d]" * len(diagonals))[2:] + "]") % tuple(labels)
+        try:
+            _check_diagonals(n, diagonals)
+        except ValueError as exc:
+            raise InternalError(f"enumerate record {text} is not a dissection: {exc}") from None
+        yield diagonals, text, "[" + texts + "]"
 
 
 def _partitions(total: int, largest: int, parts: int | None):
@@ -438,6 +464,22 @@ def _canonical_shapes(
     return tuple(out)
 
 
+def _cells(code: bytes) -> int:
+    """Internal vertices of the trees with canonical code `code`: each
+    vertex writes its child count, which is 0 for a leaf only."""
+    return len(code) - code.count(0)
+
+
+def _class_shapes(n: int, k: int | None = None) -> list[tuple[bytes, tuple]]:
+    """(code, canonical shape) of each variety class of the dissections of
+    P_{n+2} (with k cells if given), in code order; the cell count is read
+    off the code, so no tree is built."""
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    classes = _canonical_shapes(n + 1, None)
+    return list(classes) if k is None else [c for c in classes if _cells(c[0]) == k]
+
+
 def class_trees(n: int, k: int | None = None) -> list[SchroederTree]:
     """One canonical tree per variety class of the dissections of P_{n+2}
     (with k cells if given), in canonical code order.
@@ -445,10 +487,7 @@ def class_trees(n: int, k: int | None = None) -> list[SchroederTree]:
     Generated class by class, without building the plane trees; each tree
     equals canonical_form of every member of its class.
     """
-    if k is not None and not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    trees = (SchroederTree(shape) for _, shape in _canonical_shapes(n + 1, None))
-    return [t for t in trees if k is None or t.internal_count == k]
+    return [SchroederTree(shape) for _, shape in _class_shapes(n, k)]
 
 
 def enumerate_dissections(n: int, k: int | None = None) -> list[Dissection]:

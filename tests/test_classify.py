@@ -32,6 +32,7 @@ from schroder.combinatorics import (
     Dissection,
     SchroederTree,
     _canonical_shapes,
+    _cells,
     canonical_code,
     canonical_form,
     class_trees,
@@ -143,6 +144,13 @@ def test_class_trees_per_cells_match_recurrence():
         assert per_cells == {k: table.s(n + 1, k) for k in range(1, n + 1)}
     assert sum(per_cells.values()) == 68954
 
+
+def test_cell_counts_read_from_codes_match_the_trees():
+    for n in range(1, 10):
+        for code, shape in _canonical_shapes(n + 1, None):
+            assert _cells(code) == SchroederTree(shape).internal_count
+        for k in range(1, n + 1):
+            assert [t.internal_count for t in class_trees(n, k)] == [k] * count_classes(n, k)
 
 def primitive_vectors_loop(k, bound):
     # Reference: the plain itertools/gcd loop.

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import schroder
 import schroder.cli as cli
+import schroder.combinatorics as combinatorics
 from schroder.classify import verify_theorem1
 from schroder.cli import main
 from schroder.combinatorics import Dissection
@@ -537,6 +538,23 @@ def test_internal_error_is_exit_four(capsys, monkeypatch, tmp_path):
     assert "Traceback" not in err
 
 
+def test_enumerate_record_failing_its_check_is_exit_four(capsys, monkeypatch):
+    # The first 4-leaf fragment becomes one whose labels (0, 2), (0, 4),
+    # (1, 3) cross; shifted by one leaf it makes the record (1, 3), (1, 5),
+    # (2, 4) for n = 4.
+    real = combinatorics._fragments
+    crossing = ((0, 2, 0, 4, 1, 3), "[[0, 0, 0], 0]")
+    monkeypatch.setattr(
+        combinatorics, "_fragments", lambda m: (crossing, *real(m)[1:]) if m == 4 else real(m)
+    )
+    code, _, err = run(capsys, "enumerate", "--n", "4")
+    assert code == 4
+    assert err == (
+        "internal error: enumerate record [[1, 3], [1, 5], [2, 4]] is not a dissection: "
+        "diagonals (1, 3) and (2, 4) cross\n"
+    )
+    assert "Traceback" not in err
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "enumerate", "--n", "5")
     second = run(capsys, "enumerate", "--n", "5")
@@ -689,6 +707,7 @@ PENTAGON = '{"n":3,"diagonals":[[1,4]]}', '{"n":3,"diagonals":[[0,3]]}'
 FRESH_CALL = """
 import json, sys
 import schroder.cli as cli
+import schroder.combinatorics as combinatorics
 state = lambda: ["argparse" in sys.modules, cli._build_parser.cache_info().misses]
 code = cli.main(sys.argv[2:])
 plain = state()

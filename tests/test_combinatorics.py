@@ -1,6 +1,7 @@
 """Dissections, trees, the bijection between them, and the counting layer."""
 
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -77,6 +78,7 @@ def test_records_match_trees_and_dissections():
             expected = [
                 (
                     list(tree_to_dissection(t).diagonals),
+                    json.dumps(tree_to_dissection(t).diagonals),
                     json.dumps(nested_array(t.shape)),
                 )
                 for t in dissection_trees(n, k)
@@ -211,6 +213,81 @@ def test_validation_matches_pairwise_scan(n):
                 with pytest.raises(ValueError) as exc:
                     check(n, subset)
                 assert str(exc.value) == f"diagonals {first[0]} and {first[1]} cross"
+
+
+def former_check(n, diagonals):
+    """Reference: the check as it was before the one-pass stack of right
+    ends.  The range tests in input order, then a pass that builds the
+    nesting dict and raises at the first crossing it meets, naming the
+    lexicographically first crossing pair."""
+    for i, j in diagonals:
+        if not (0 <= i < j <= n + 1):
+            raise ValueError(f"diagonal {(i, j)} out of range for n={n}")
+        if j - i == 1:
+            raise ValueError(f"{(i, j)} is a polygon side, not a diagonal")
+        if i == 0 and j == n + 1:
+            raise ValueError("the distinguished edge {0, n+1} is not a diagonal")
+    outer = (0, n + 1)
+    inside = {outer: []}
+    stack = [outer]
+    for a, b in sorted(diagonals, key=lambda e: (e[0], -e[1])):
+        while stack[-1][1] <= a:
+            stack.pop()
+        if stack[-1][1] < b:
+            e, f = next(p for p in combinations(sorted(diagonals), 2) if cross(*p))
+            raise ValueError(f"diagonals {e} and {f} cross")
+        inside[stack[-1]].append((a, b))
+        inside[(a, b)] = []
+        stack.append((a, b))
+
+
+def verdict(check, *args):
+    """None if `check` accepts, else its ValueError's message."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_validation_matches_the_former_check_on_every_subset(n):
+    pool = diagonal_pool(n)
+    for r in range(len(pool) + 1):
+        for subset in combinations(pool, r):
+            want = verdict(former_check, n, subset)
+            assert verdict(_check_diagonals, n, subset) == want
+            assert verdict(Dissection, n, subset) == want
+
+
+def test_validation_matches_the_former_check_on_mixed_lists():
+    # Unsorted lists, duplicates allowed, that mix diagonals with pairs out
+    # of range, sides, the distinguished edge and crossing pairs.
+    rng = random.Random(20221)
+    for _ in range(20000):
+        n = rng.randint(1, 9)
+        pairs = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.random()
+            if kind < 0.55 and n >= 2:
+                pairs.append(rng.choice(diagonal_pool(n)))
+            elif kind < 0.65:
+                i = rng.randint(0, n)
+                pairs.append((i, i + 1))
+            elif kind < 0.7:
+                pairs.append((0, n + 1))
+            elif kind < 0.85:
+                a, b = rng.randint(-2, n + 3), rng.randint(-2, n + 3)
+                pairs.append((a, b))
+            elif n >= 3:
+                a, c = sorted(rng.sample(range(n + 1), 2))
+                if c - a >= 2:
+                    pairs += [(a, rng.randint(a + 2, n + 1)), (rng.randint(a + 1, c - 1), c)]
+        rng.shuffle(pairs)
+        distinct = sorted(set(pairs))
+        want = verdict(former_check, n, distinct)
+        assert verdict(Dissection, n, pairs) == want, (n, pairs)
+        assert verdict(_check_diagonals, n, distinct) == want, (n, distinct)
 
 
 def test_tree_validation():
