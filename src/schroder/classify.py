@@ -22,8 +22,7 @@ from .combinatorics import (
     Dissection,
     SchroederTree,
     _canonical_shapes,
-    _cells,
-    _class_shapes,
+    _classes,
     canonical_code,
     canonical_form,
     class_trees,
@@ -70,7 +69,7 @@ def count_classes(n: int, k: int | None = None) -> int:
     against the coefficient table of the generating-function recurrence, an
     independent route to the same numbers.
     """
-    per_cells = Counter(_cells(code) for code, _ in _class_shapes(n, k))
+    per_cells = Counter(cells for cells, _ in _classes(n, k))
     table = riordan_table(n + 1)
     for cells in range(1, n + 1) if k is None else [k]:
         if per_cells[cells] != table.s(n + 1, cells):

@@ -214,12 +214,13 @@ def _check_diagonals(n: int, diagonals) -> None:
     order except that a run of diagonals with one left end comes innermost
     first, so each right end goes onto the stack of open right ends below
     the run's earlier ones, and is tested against the end below the run.
-    The range, side and distinguished-edge tests ride in the same loop.
+    A rejected list is scanned again for its message: the first pair out of
+    range, a side or {0, n+1}, else the lexicographically first crossing pair.
     """
     stack = [n + 1]  # open right ends, innermost last; n + 1 closes {0, n+1}
     left = run = None
     for a, b in diagonals:
-        # In range, not a side (b - a > 1), not {0, n+1}.
+        # In range, not a side (b - a > 1), and b <= n when a = 0: not {0, n+1}.
         if not 0 <= a < b - 1 <= n - (a == 0):
             break
         if a != left:
@@ -231,21 +232,15 @@ def _check_diagonals(n: int, diagonals) -> None:
         stack.insert(run, b)
     else:
         return
-    raise ValueError(_fault(n, diagonals))
-
-
-def _fault(n: int, diagonals) -> str:
-    """Why _check_diagonals rejects `diagonals`: the first pair out of range,
-    a side or {0, n+1}, else the lexicographically first crossing pair."""
     for i, j in diagonals:
         if not (0 <= i < j <= n + 1):
-            return f"diagonal {(i, j)} out of range for n={n}"
+            raise ValueError(f"diagonal {(i, j)} out of range for n={n}")
         if j - i == 1:
-            return f"{(i, j)} is a polygon side, not a diagonal"
+            raise ValueError(f"{(i, j)} is a polygon side, not a diagonal")
         if i == 0 and j == n + 1:
-            return "the distinguished edge {0, n+1} is not a diagonal"
+            raise ValueError("the distinguished edge {0, n+1} is not a diagonal")
     e, f = next(p for p in combinations(diagonals, 2) if _cross(*p))
-    return f"diagonals {e} and {f} cross"
+    raise ValueError(f"diagonals {e} and {f} cross")
 
 
 def nesting(d: Dissection) -> dict[Edge, list[Edge]]:
@@ -397,24 +392,24 @@ def dissection_trees(n: int, k: int | None = None) -> list[SchroederTree]:
 
 
 def _dissection_records(n: int, k: int | None = None):
-    """(diagonals, their JSON, nested-array JSON of the tree) of each
+    """(JSON of the diagonals, nested-array JSON of the tree) of each
     dissection_trees(n, k) member, in that order, assembled from the
     fragments of the root's children without building trees or dissections.
 
-    The diagonals are sorted (i, j) pairs, and the JSON texts are what
-    json.dumps makes of them and of the tree's array.  Each record passes
-    the check Dissection makes, or InternalError names it.
+    The texts are what json.dumps makes of the sorted (i, j) pairs and of
+    the tree's array.  The pairs of each record pass the check Dissection
+    makes, or InternalError names the record.
     """
     for labels, texts in _joined(n + 1, k):
         pairs = iter(labels)
         diagonals = list(zip(pairs, pairs))
-        # The JSON of a list of int pairs, from one format per record.
+        # json.dumps of the pairs: "[a, b]" per pair, joined by ", ".
         text = ("[" + (", [%d, %d]" * len(diagonals))[2:] + "]") % tuple(labels)
         try:
             _check_diagonals(n, diagonals)
         except ValueError as exc:
             raise InternalError(f"enumerate record {text} is not a dissection: {exc}") from None
-        yield diagonals, text, "[" + texts + "]"
+        yield text, "[" + texts + "]"
 
 
 def _partitions(total: int, largest: int, parts: int | None):
@@ -464,20 +459,17 @@ def _canonical_shapes(
     return tuple(out)
 
 
-def _cells(code: bytes) -> int:
-    """Internal vertices of the trees with canonical code `code`: each
-    vertex writes its child count, which is 0 for a leaf only."""
-    return len(code) - code.count(0)
+def _classes(n: int, k: int | None = None) -> list[tuple[int, tuple]]:
+    """(cells, canonical shape) of each variety class of the dissections of
+    P_{n+2} (with k cells if given), in code order.
 
-
-def _class_shapes(n: int, k: int | None = None) -> list[tuple[bytes, tuple]]:
-    """(code, canonical shape) of each variety class of the dissections of
-    P_{n+2} (with k cells if given), in code order; the cell count is read
-    off the code, so no tree is built."""
+    A canonical code lists every vertex's child count, 0 for a leaf only, so
+    the cell count is read off it before any tree is built.
+    """
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    classes = _canonical_shapes(n + 1, None)
-    return list(classes) if k is None else [c for c in classes if _cells(c[0]) == k]
+    cells = ((len(code) - code.count(0), shape) for code, shape in _canonical_shapes(n + 1, None))
+    return [c for c in cells if k is None or c[0] == k]
 
 
 def class_trees(n: int, k: int | None = None) -> list[SchroederTree]:
@@ -487,7 +479,7 @@ def class_trees(n: int, k: int | None = None) -> list[SchroederTree]:
     Generated class by class, without building the plane trees; each tree
     equals canonical_form of every member of its class.
     """
-    return [SchroederTree(shape) for _, shape in _class_shapes(n, k)]
+    return [SchroederTree(shape) for _, shape in _classes(n, k)]
 
 
 def enumerate_dissections(n: int, k: int | None = None) -> list[Dissection]:

@@ -32,7 +32,7 @@ from schroder.combinatorics import (
     Dissection,
     SchroederTree,
     _canonical_shapes,
-    _cells,
+    _classes,
     canonical_code,
     canonical_form,
     class_trees,
@@ -147,8 +147,8 @@ def test_class_trees_per_cells_match_recurrence():
 
 def test_cell_counts_read_from_codes_match_the_trees():
     for n in range(1, 10):
-        for code, shape in _canonical_shapes(n + 1, None):
-            assert _cells(code) == SchroederTree(shape).internal_count
+        for cells, shape in _classes(n):
+            assert cells == SchroederTree(shape).internal_count
         for k in range(1, n + 1):
             assert [t.internal_count for t in class_trees(n, k)] == [k] * count_classes(n, k)
 

@@ -77,7 +77,6 @@ def test_records_match_trees_and_dissections():
         for k in [None, *range(1, n + 1)]:
             expected = [
                 (
-                    list(tree_to_dissection(t).diagonals),
                     json.dumps(tree_to_dissection(t).diagonals),
                     json.dumps(nested_array(t.shape)),
                 )
