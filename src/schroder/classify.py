@@ -150,8 +150,10 @@ def _primitive_array(k: int, bound: int) -> np.ndarray:
 # product of integer arrays whose partial sums all stay below it is exact
 # in any summation order.
 _EXACT = 2**53
+# The same limit for float32, whose products run about twice as fast.
+_EXACT32 = 2**24
 
-# An object array of the Python ints that a float64 array of integers
+# An object array of the Python ints that a float array of integers
 # holds, exact however large they are, where a cast through int64 wraps
 # past 2^63.
 _to_ints = np.frompyfunc(int, 1, 1)
@@ -303,9 +305,12 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     forms where it is nonzero get top + 1 there, the others step on, and a
     form still alive at top - 1 gets top without the last step.
     `_top_power` guards the pairing the way `_advance` guards a step, so
-    every value is exact.  Columns are independent, so the blocks give the
-    table one pass would, and memory does not grow with the number of
-    forms.
+    every value is exact.  Each step and the pairing choose their tier,
+    float32, float64 or Python ints, from their own bound, so a block's
+    powers may change dtype from step to step, and the two powers the
+    pairing takes may differ in dtype.  Columns are independent, so the
+    blocks give the table one pass would, and memory does not grow with
+    the number of forms.
     """
     top = sum(ring.staircase) - ring.k
     forms = np.asarray(vectors)  # no copy when `vectors` is already an array
@@ -349,8 +354,10 @@ def _top_pairing(ring: RingPresentation, steps, half: int):
     basis; it starts as [[1]] at m = 0, and x^t = x_i * x^(t - e_i), i the
     first generator of t, gives column t from column t - e_i and the
     transpose of `mats[i]` of step top - m.  One `_advance` per degree, with
-    one-hot coefficients, builds them exactly.  An entry of G that float64
-    does not hold exactly raises InternalError instead of being rounded.
+    one-hot coefficients, builds them exactly, on whichever tier its bound
+    allows; G^T comes back in float64, and its weight is summed there.  An
+    entry of G that float64 does not hold exactly raises InternalError
+    instead of being rounded.
     """
     ell, top = ring.staircase, len(steps)
     basis, acc = [(0,) * ring.k], np.ones((1, 1))
@@ -370,7 +377,10 @@ def _top_pairing(ring: RingPresentation, steps, half: int):
         for c in acc.flat:
             if float(c) != c:
                 raise InternalError(f"pairing entry {c} is not exact in float64")
-        acc = acc.astype(np.float64)
+    # The steps may have run in float32; the pairing and its weight do not:
+    # a sum of nonnegative float64 integers is exact below 2^53 and at least
+    # 2^53 past it, all `_top_power`'s bound needs.
+    acc = acc.astype(np.float64, copy=False)
     return acc, int(np.abs(acc).sum())
 
 
@@ -380,15 +390,23 @@ def _top_power(high, low, pairing, weight):
 
     `pairing` is G^T and `weight` sum|G| from `_top_pairing`, so the value
     is the sum over v of (pairing @ high)[v] * low[v].  Every partial sum of
-    a column stays below max|high| * max|low| * weight, so while that bound
-    is below 2^53 the pairing runs in float64 and is exact; past it, the way
-    `_advance` guards a step, it runs on Python ints and returns them.
+    a column stays below max|high| * max|low| * weight, so the pairing runs
+    on the tiers `_advance` uses, chosen from that bound: float32 below
+    2^24, float64 below 2^53, Python ints past it, which it returns.  Each
+    entry of G is at most `weight`, so float32 holds it while the bound is
+    below 2^24 and neither max is 0, and a 0 max makes every product 0.
+    `high` and `low` may differ in dtype, as powers taken on different
+    tiers do; both are cast to the chosen one.
     """
-    if (
-        high.dtype == object
-        or low.dtype == object
-        or int(np.abs(high).max()) * int(np.abs(low).max()) * weight >= _EXACT
-    ):
+    if high.dtype == object or low.dtype == object:
+        bound = _EXACT
+    else:
+        bound = int(np.abs(high).max()) * int(np.abs(low).max()) * weight
+    if bound < _EXACT:
+        dtype = np.float32 if bound < _EXACT32 else np.float64
+        high, low = high.astype(dtype, copy=False), low.astype(dtype, copy=False)
+        pairing = pairing.astype(dtype, copy=False)
+    else:
         high, low, pairing = _to_ints(high), _to_ints(low), _to_ints(pairing)
     return ((pairing @ high) * low).sum(axis=0)
 
@@ -401,21 +419,34 @@ def _advance(acc, mats, coeffs, growth):
     one row per generator and one column per form, so each term is one
     matrix product scaled along contiguous rows.  `growth` is the step's
     growth from `_step_matrices`.  Every partial sum of the step stays below
-    max|acc| * max|coeffs| * growth, so while that bound is below 2^53 the
-    step runs in float64 on BLAS and each value is an exactly represented
-    integer in any summation order.  Past it the same sums are taken on
-    Python ints in object arrays, and an object `acc` keeps every later step
-    there.  The products share one buffer and are summed in place, so a step
-    holds two arrays of the result's size besides `acc`, and none after it;
-    the callers pass blocks of a fixed number of columns.
+    bound = max|acc| * max|coeffs| * growth, so each value is an exactly
+    represented integer in any summation order on the first tier whose
+    limit the bound is below: float32 below 2^24, float64 below 2^53, both
+    on BLAS, and past 2^53 Python ints in object arrays, where an object
+    `acc` keeps every later step.  `acc`, `mats` and `coeffs` are cast to
+    the chosen dtype, and the casts are exact too:
+    - while max|acc| and max|coeffs| are at least 1, each of them, and each
+      step-matrix entry, which is at most `growth`, is at most the bound;
+    - when either max, or `growth`, is 0, every product is 0, whatever
+      the cast did to the other factors.
+    A float32 `acc` from an earlier step goes up to float64 or Python ints
+    exactly.  The products share one buffer and are summed in place, so a
+    step holds two arrays of the result's size besides `acc`, and none
+    after it; the callers pass blocks of a fixed number of columns.
     """
-    if acc.dtype != object and (
-        int(max(acc.max(), -acc.min()))
-        * max(int(coeffs.max()), -int(coeffs.min()))
-        * growth
-        < _EXACT
-    ):
-        coeffs = coeffs.astype(np.float64, order="C")
+    if acc.dtype == object:
+        bound = _EXACT
+    else:
+        bound = (
+            int(max(acc.max(), -acc.min()))
+            * max(int(coeffs.max()), -int(coeffs.min()))
+            * growth
+        )
+    if bound < _EXACT:
+        dtype = np.float32 if bound < _EXACT32 else np.float64
+        acc = acc.astype(dtype, copy=False)
+        mats = mats.astype(dtype, copy=False)
+        coeffs = coeffs.astype(dtype, order="C")
     else:
         acc = _to_ints(acc)
         mats = [_to_ints(m) for m in mats]

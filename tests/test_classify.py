@@ -276,6 +276,95 @@ def test_top_power_falls_back_exactly(monkeypatch):
     assert [out.shape[1] for out in results[half:]] == [4, 4, 4, 4, 2, 2, 1]
 
 
+TIERS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(object): 2}
+
+
+@pytest.mark.parametrize(
+    "big, first64, first_object",
+    [(2**4, 4, None), (2**5, 3, None), (2**7, 3, 6), (2**8, 2, 5), (2**10, 2, 4), (2**12, 1, 4)],
+)
+def test_nilpotency_table_climbs_tiers_exactly(monkeypatch, big, first64, first_object):
+    # float32 holds integers exactly only below 2**24, float64 below 2**53.
+    # Each step picks the first tier its bound is below, so with one
+    # coefficient between 2**4 and 2**12 the table's steps leave float32
+    # and then float64 at steps that move with `big`, and never come back.
+    # The first `half` results of `_advance` build the pairing from one-hot
+    # coefficients and stay in float32.
+    ring = schroeder_presentation(dissection_to_tree(RUNNING))
+    top = sum(ring.staircase) - ring.k
+    half = (top + 1) // 2
+    vectors = [(0, big, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1), (0, 1, -2, 0)]
+    expected = [min_vanishing_power(v, top + 1, ring) or top + 1 for v in vectors]
+    results = recording_advance(monkeypatch)
+    assert _nilpotency_table(ring, vectors) == expected
+    assert all(out.dtype == np.float32 for out in results[:half])
+    tiers = [TIERS[out.dtype] for out in results[half:]]
+    assert tiers == sorted(tiers)
+    assert tiers.index(1) == first64
+    assert (tiers.index(2) if 2 in tiers else None) == first_object
+
+
+def powers_of(form, ring, count):
+    """alpha, ..., alpha^count of one form through `_advance`, once from a
+    float64 alpha^0 and once from a Python-int one, which keeps every step
+    on Python ints."""
+    steps = _step_matrices(ring, count)
+    coeffs = np.array(form, dtype=np.int64)[:, None]
+
+    def run(start):
+        acc, out = start, []
+        for mats, growth in steps:
+            acc = classify._advance(acc, mats, coeffs, growth)
+            out.append(acc)
+        return out
+
+    return run(np.ones((1, 1))), run(np.ones((1, 1), dtype=object))
+
+
+def test_float32_limit_keeps_powers_exact(monkeypatch):
+    # 4097**2 is odd and above 2**24, so float32 cannot hold the entries of
+    # alpha**2 for this form.  At the real limit those steps leave float32
+    # and match the powers taken on Python ints; with the limit raised to
+    # 2**53 they stay there and round at steps 2 and 3.
+    ring = schroeder_presentation(dissection_to_tree(RUNNING))
+    form = (0, 4097, 1, 0)
+    floats, ints = powers_of(form, ring, 3)
+    assert [out.dtype for out in floats] == [np.float32, np.float64, np.float64]
+    assert all(out.dtype == object for out in ints)
+    assert [f.tolist() == i.tolist() for f, i in zip(floats, ints)] == [True] * 3
+    monkeypatch.setattr(classify, "_EXACT32", 2**53)
+    floats, _ = powers_of(form, ring, 3)
+    assert all(out.dtype == np.float32 for out in floats)
+    assert [f.tolist() == i.tolist() for f, i in zip(floats, ints)] == [True, False, False]
+
+
+@pytest.mark.parametrize(
+    "big, tiers",
+    [
+        (2**4, ("float32", "float32", "float32")),
+        (2**12, ("float64", "float32", "float64")),
+        (2**20, ("float64", "float32", "object")),
+    ],
+)
+def test_top_power_takes_each_tier(monkeypatch, big, tiers):
+    # The chain (2, 2, 2) ring has top 3, so the pairing takes alpha^2 as
+    # `high` and alpha^1 as `low`: one step apart, they can come from
+    # different tiers, and the pairing then picks its own from its bound.
+    # Its value, and its dtype, which is the tier it ran on, are checked
+    # against the one entry of the degree-3 normal form.
+    ring = schroeder_presentation(CHAIN222.tree())
+    top = sum(ring.staircase) - ring.k
+    assert (ring.staircase, top) == ((2, 2, 2), 3)
+    form = (big, 1, 1)
+    calls = recording_top_power(monkeypatch)
+    assert _nilpotency_table(ring, [form]) == [top + 1]
+    (((high, low, _, _), value),) = calls
+    assert (str(high.dtype), str(low.dtype), str(value.dtype)) == tiers
+    socle = tuple(l - 1 for l in ring.staircase)
+    power = normal_form(IntPolynomial.linear(form) ** top, ring)
+    assert int(value[0]) == power.terms[socle]
+
+
 def test_nilpotency_table_blocks_match_one_pass(monkeypatch):
     # Rows are independent, so forms cut into blocks of any size, at any
     # boundary, must get the table one pass gives them, on Python ints too.
