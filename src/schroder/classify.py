@@ -79,20 +79,6 @@ def count_classes(n: int, k: int | None = None) -> int:
     return sum(per_cells.values())
 
 
-def _bottoms(tree: SchroederTree) -> frozenset[int]:
-    """Preorder indices of the internal vertices whose rightmost child is a leaf.
-
-    On a canonically embedded tree these are exactly the internal vertices
-    all of whose children are leaves, and their generators are the ones
-    whose staircase power already vanishes.
-    """
-    return frozenset(
-        i
-        for i, v in enumerate(tree.internal_preorder())
-        if tree.is_leaf(v + (tree.arity(v) - 1,))
-    )
-
-
 def _staircase(tree: SchroederTree) -> list[int]:
     """The staircase exponents of the tree's ring, sorted: one per internal
     vertex, its child count, from one pass over the nodes."""
@@ -470,9 +456,10 @@ class Fingerprint:
     more than the ring's top degree, where every form dies, so the counts
     always add up to the number of forms.  `vanishing_rank` is the rank of
     the span of the forms that already vanish at the smallest staircase
-    exponent.  `l_size` counts the internal vertices of the canonical tree
-    whose children are all leaves; it is the one field not read off from
-    the presentation alone.
+    exponent.  `l_size` counts the generators named by a side, b - a = 1 in
+    the presentation's labels: those whose vertex's last child is a leaf,
+    which on the canonical tree are the internal vertices whose children
+    are all leaves.  It is the one field read off the labels, not the ring.
     """
 
     k: int
@@ -515,10 +502,10 @@ def _tree_fingerprint(tree: SchroederTree) -> Fingerprint:
     ring = schroeder_presentation(tree)
     vectors = _primitive_array(ring.k, max(ring.staircase))
     table = _nilpotency_table(ring, vectors)
-    return _table_fingerprint(tree, ring, vectors, table)
+    return _table_fingerprint(ring, vectors, table)
 
 
-def _table_fingerprint(tree, ring, vectors, table) -> Fingerprint:
+def _table_fingerprint(ring, vectors, table) -> Fingerprint:
     """Fingerprint of a canonical tree, given its ring and the nilpotency
     table of `vectors`, the primitive forms bounded by the largest staircase
     exponent."""
@@ -532,7 +519,7 @@ def _table_fingerprint(tree, ring, vectors, table) -> Fingerprint:
         hilbert=hilbert_series(ring),
         profile=tuple(zip(values.tolist(), counts.tolist())),
         vanishing_rank=rank(vectors[powers <= staircase[0]].tolist()),
-        l_size=len(_bottoms(tree)),
+        l_size=sum(b - a == 1 for a, b in ring.labels),
     )
 
 
@@ -841,14 +828,15 @@ def verify_prop_further(ell: int, internal: int) -> UniformTreeReport:
     for _, shape in _canonical_shapes(n + 1, ell):
         tree = SchroederTree(shape)
         ring = schroeder_presentation(tree)
-        bottoms = _bottoms(tree)
         # Every staircase exponent is ell, so these are the fingerprint's forms.
         vectors = _primitive_array(ring.k, ell)
         table = _nilpotency_table(ring, vectors)
         powers = dict(zip(map(tuple, vectors.tolist()), table))
-        for i in range(ring.k):
+        # A generator named by a side belongs to a vertex with only leaf
+        # children: the tree is canonical.
+        for i, (a, b) in enumerate(ring.labels):
             unit = tuple(int(t == i) for t in range(ring.k))
-            if (powers[unit] <= ell) != (i in bottoms):
+            if (powers[unit] <= ell) != (b - a == 1):
                 failures.append(
                     f"generator {i} of {tree.shape} breaks the power dichotomy"
                 )
@@ -857,11 +845,11 @@ def verify_prop_further(ell: int, internal: int) -> UniformTreeReport:
                 failures.append(
                     f"mixed form {vec} on {tree.shape} has vanishing power {p}"
                 )
-        data.append((_table_fingerprint(tree, ring, vectors, table), len(bottoms)))
+        data.append(_table_fingerprint(ring, vectors, table))
 
     for i in range(len(data)):
         for j in range(i + 1, len(data)):
-            if data[i][1] != data[j][1] and data[i][0].ring_data == data[j][0].ring_data:
+            if data[i].l_size != data[j].l_size and data[i].ring_data == data[j].ring_data:
                 failures.append(
                     f"classes {i} and {j} differ in leaf-children count "
                     "but share all ring data"
@@ -871,7 +859,7 @@ def verify_prop_further(ell: int, internal: int) -> UniformTreeReport:
         internal=internal,
         n=n,
         class_count=len(data),
-        l_sizes=tuple(d[1] for d in data),
+        l_sizes=tuple(fp.l_size for fp in data),
         failures=tuple(failures),
     )
 

@@ -1,8 +1,9 @@
 """Cohomology rings of the varieties, by two independent routes.
 
-The tree route writes the ring directly from a Schroeder tree: one
-generator per internal vertex, named by its rightmost child's label, and
-one relation per internal vertex built from sums over descendant sets.
+The tree route writes the ring directly from a Schroeder tree, read off
+the nesting of its dissection (combinatorics.nesting): one generator per
+internal vertex, named by its rightmost child's label, and one relation
+per internal vertex built from sums over descendant sets.
 The fan route starts from the Danilov-Jurkiewicz presentation, with one
 generator per ray, and eliminates the redundant generators through the
 linear relations.  The two outputs are compared term by term in tests.
@@ -11,29 +12,18 @@ linear relations.  The two outputs are compared term by term in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
-from .combinatorics import Edge, Path, SchroederTree, phi_labels
+from .combinatorics import (
+    Edge,
+    Path,
+    SchroederTree,
+    nesting,
+    phi_labels,
+    tree_to_dissection,
+)
 from .errors import InternalError
 from .fan import Fan, check_primitive_with, omission_masks
 from .polyring import IntPolynomial, RingPresentation, hilbert_series
-
-
-def _matching_descendants(tree: SchroederTree, labels, v: Path) -> list[Path]:
-    """Proper descendants of v, top down, whose label ends where v's does.
-
-    A label ends at the last leaf below its vertex, and leaves are numbered
-    left to right, so these are the vertices of v's rightmost chain.
-    """
-    found: list[Path] = []
-    path, node = v, tree.subtree(v)
-    while node:
-        path += (len(node) - 1,)
-        node = node[-1]
-        found.append(path)
-    if any(labels[u][1] != labels[v][1] for u in found):
-        raise InternalError(f"the rightmost chain below {v} leaves its label")
-    return found
 
 
 def descendant_set(tree: SchroederTree, v: Path) -> frozenset[Path]:
@@ -42,7 +32,13 @@ def descendant_set(tree: SchroederTree, v: Path) -> frozenset[Path]:
     Empty for leaves.  These are the vertices whose generators appear in
     the sums the relations are built from.
     """
-    return frozenset(_matching_descendants(tree, phi_labels(tree), v))
+    labels = phi_labels(tree)
+    end = labels[v][1]
+    return frozenset(
+        u
+        for u, (_, b) in labels.items()
+        if len(u) > len(v) and u[: len(v)] == v and b == end
+    )
 
 
 @dataclass(frozen=True)
@@ -68,23 +64,26 @@ class SchroederPresentation(RingPresentation):
 
 
 def _gen_data(tree: SchroederTree):
-    """Labels, internal vertices, generators and their index, and ``lam(v)``:
-    the memoised sum of the generators named by descendant_set(tree, v)."""
-    labels = phi_labels(tree)
-    internal = tuple(tree.internal_preorder())
-    if not internal:
-        raise ValueError("a tree with no internal vertex presents no ring")
-    gen_labels = tuple(labels[p + (tree.arity(p) - 1,)] for p in internal)
-    gen_index = {lab: i for i, lab in enumerate(gen_labels)}
+    """The nesting of the tree's dissection, keyed by the internal vertices
+    in preorder, and ``lam(e)``: the sum of the generators on e's rightmost
+    chain, e's own included, 0 for a side.
 
-    @cache
-    def lam(v: Path) -> tuple[int, ...]:
-        vec = [0] * len(internal)
-        for u in _matching_descendants(tree, labels, v):
-            vec[gen_index[labels[u]]] += 1
+    Generator i belongs to the i-th key and is named by its last child, so
+    ``lam(e)`` sums the names of the descendant set of e's vertex.
+    """
+    nest = nesting(tree_to_dissection(tree))
+    k = len(nest)
+    chain: dict[Edge, tuple[int, ...]] = {}
+    for i, (e, kids) in reversed(tuple(enumerate(nest.items()))):
+        chain[e] = (i,) + chain.get(kids[-1], ())
+
+    def lam(e: Edge) -> tuple[int, ...]:
+        vec = [0] * k
+        for i in chain.get(e, ()):
+            vec[i] = 1
         return tuple(vec)
 
-    return labels, internal, gen_labels, gen_index, lam
+    return nest, lam
 
 
 def _expand(k: int, vecs) -> IntPolynomial:
@@ -105,14 +104,15 @@ def _expand(k: int, vecs) -> IntPolynomial:
     return IntPolynomial._raw(k, terms)
 
 
-def _presentation(tree: SchroederTree, internal, gen_labels, factors):
+def _presentation(tree: SchroederTree, nest, factors):
     """Multiply out each relation's linear factors; attach the vertex data."""
+    labels = tuple(kids[-1] for kids in nest.values())
     return SchroederPresentation(
-        gens=tuple(f"x{a}_{b}" for a, b in gen_labels),
-        relations=tuple(_expand(len(internal), vecs) for vecs in factors),
-        staircase=tuple(tree.arity(p) for p in internal),
-        vertices=internal,
-        labels=gen_labels,
+        gens=tuple(f"x{a}_{b}" for a, b in labels),
+        relations=tuple(_expand(len(nest), vecs) for vecs in factors),
+        staircase=tuple(len(kids) for kids in nest.values()),
+        vertices=tuple(tree.internal_preorder()),
+        labels=labels,
         factors=tuple(tuple(vecs) for vecs in factors),
     )
 
@@ -125,16 +125,16 @@ def schroeder_presentation(tree: SchroederTree) -> SchroederPresentation:
     over w_j.  Expanded, it carries the generator's l-th power with
     coefficient +1, which is what staircase reduction needs.
     """
-    _, internal, gen_labels, _, lam = _gen_data(tree)
-    k = len(internal)
+    nest, lam = _gen_data(tree)
+    k = len(nest)
     factors = []
-    for i, p in enumerate(internal):
-        top = lam(p)
+    for i, (e, kids) in enumerate(nest.items()):
+        top = lam(e)
         vecs = [tuple(1 if t == i else 0 for t in range(k))]
-        for j in range(tree.arity(p) - 1):
-            vecs.append(tuple(a - b for a, b in zip(top, lam(p + (j,)))))
+        for c in kids[:-1]:
+            vecs.append(tuple(a - b for a, b in zip(top, lam(c))))
         factors.append(vecs)
-    return _presentation(tree, internal, gen_labels, factors)
+    return _presentation(tree, nest, factors)
 
 
 @dataclass(frozen=True)
@@ -212,24 +212,19 @@ def eliminate(dj: DJPresentation, tree: SchroederTree) -> SchroederPresentation:
     each monomial relation, matched to its cell through the child labels,
     becomes one relation of the tree presentation.
     """
-    labels, internal, gen_labels, gen_index, lam = _gen_data(tree)
-    k = len(internal)
-    vertex_by_label = {labels[p]: p for p in tree.preorder() if p != ()}
+    nest, lam = _gen_data(tree)
+    k = len(nest)
+    parent = {c: (i, e) for i, (e, kids) in enumerate(nest.items()) for c in kids}
 
     substitution: dict[Edge, tuple[int, ...]] = {}
     for e in dj.edges:
-        v = vertex_by_label.get(e)
-        if v is None:
+        if e not in parent:
             raise InternalError(f"edge {e} is not a vertex label of the tree")
-        parent, slot = v[:-1], v[-1]
-        if slot == tree.arity(parent) - 1:
-            substitution[e] = tuple(
-                1 if t == gen_index[e] else 0 for t in range(k)
-            )
+        i, p = parent[e]
+        if e == nest[p][-1]:
+            substitution[e] = tuple(1 if t == i else 0 for t in range(k))
         else:
-            substitution[e] = tuple(
-                a - b for a, b in zip(lam(parent), lam(v))
-            )
+            substitution[e] = tuple(a - b for a, b in zip(lam(p), lam(e)))
 
     for form in dj.linear:
         acc = [0] * k
@@ -248,12 +243,11 @@ def eliminate(dj: DJPresentation, tree: SchroederTree) -> SchroederPresentation:
         frozenset(dj.edges[i] for i in coll): coll for coll in dj.collections
     }
     factors = []
-    for p in internal:
-        kids = [labels[p + (c,)] for c in range(tree.arity(p))]
+    for e, kids in nest.items():
         if frozenset(kids) not in by_edge_set:
-            raise InternalError(f"no monomial relation matches the cell of vertex {p}")
-        factors.append([substitution[kids[-1]]] + [substitution[e] for e in kids[:-1]])
-    return _presentation(tree, internal, gen_labels, factors)
+            raise InternalError(f"no monomial relation matches the cell inside {e}")
+        factors.append([substitution[kids[-1]]] + [substitution[c] for c in kids[:-1]])
+    return _presentation(tree, nest, factors)
 
 
 def betti_profile(tree: SchroederTree) -> tuple[int, ...]:

@@ -466,6 +466,8 @@ def _classes(n: int, k: int | None = None) -> list[tuple[int, tuple]]:
     A canonical code lists every vertex's child count, 0 for a leaf only, so
     the cell count is read off it before any tree is built.
     """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     cells = ((len(code) - code.count(0), shape) for code, shape in _canonical_shapes(n + 1, None))

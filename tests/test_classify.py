@@ -97,6 +97,15 @@ def test_class_counts_match_recurrence():
     assert count_classes(1) == 1
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_classes_need_a_polygon(n):
+    message = f"n must be a positive integer, got {n}"
+    with pytest.raises(ValueError, match=message):
+        count_classes(n)
+    with pytest.raises(ValueError, match=message):
+        class_trees(n)
+
+
 def test_classes_match_grouping_of_dissections():
     # Reference: group the enumerated dissections by the code of their tree.
     for n in range(1, 8):
@@ -1064,9 +1073,9 @@ def test_prop_further_builds_one_table_per_class(monkeypatch):
         tables.append(ring)
         return _nilpotency_table(ring, vectors)
 
-    def recording(tree, ring, vectors, table):
-        prints.append((tree, _table_fingerprint(tree, ring, vectors, table)))
-        return prints[-1][1]
+    def recording(ring, vectors, table):
+        prints.append(_table_fingerprint(ring, vectors, table))
+        return prints[-1]
 
     monkeypatch.setattr(classify, "_nilpotency_table", counting)
     monkeypatch.setattr(classify, "_table_fingerprint", recording)
@@ -1074,7 +1083,8 @@ def test_prop_further_builds_one_table_per_class(monkeypatch):
     assert report.ok
     assert len(tables) == len(prints) == report.class_count == 8
     monkeypatch.undo()
-    for tree, fp in prints:
+    trees = [SchroederTree(shape) for _, shape in _canonical_shapes(11, 3)]
+    for tree, fp in zip(trees, prints, strict=True):
         assert fp == _tree_fingerprint(tree)
 
 

@@ -1,5 +1,6 @@
 """Cohomology presentations: the tree route, the fan route, and examples."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from schroder.cohomology import (
     _expand,
+    _gen_data,
     betti_profile,
     descendant_set,
     dj_presentation,
@@ -17,7 +19,9 @@ from schroder.combinatorics import (
     Dissection,
     SchroederTree,
     dissection_to_tree,
+    dissection_trees,
     enumerate_dissections,
+    phi_labels,
     tree_to_dissection,
 )
 from schroder.errors import InternalError
@@ -33,6 +37,20 @@ def test_descendant_sets_on_running_example():
     assert descendant_set(RUNNING_TREE, (0,)) == frozenset({(0, 1), (0, 1, 3)})
     assert descendant_set(RUNNING_TREE, (0, 0)) == frozenset({(0, 0, 2)})
     assert descendant_set(RUNNING_TREE, (2,)) == frozenset()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_descendant_sums_follow_the_labels(n):
+    # lam reads the rightmost chains off the nesting; its oracle names each
+    # generator through the labels of the literal descendant set.
+    for tree in dissection_trees(n):
+        _, lam = _gen_data(tree)
+        labels = phi_labels(tree)
+        internal = tree.internal_preorder()
+        gen = {labels[v + (tree.arity(v) - 1,)]: i for i, v in enumerate(internal)}
+        for v in internal:
+            named = Counter(gen[labels[u]] for u in descendant_set(tree, v))
+            assert lam(labels[v]) == tuple(named[i] for i in range(len(gen)))
 
 
 def test_running_example_presentation():
