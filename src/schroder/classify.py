@@ -290,11 +290,10 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     `_top_pairing` gives alpha^top from alpha^half and alpha^(top - half):
     forms where it is nonzero get top + 1 there, the others step on, and a
     form still alive at top - 1 gets top without the last step.
-    `_top_power` guards the pairing the way `_advance` guards a step, so
-    every value is exact.  Each step and the pairing choose their tier,
-    float32, float64 or Python ints, from their own bound, so a block's
-    powers may change dtype from step to step, and the two powers the
-    pairing takes may differ in dtype.  Columns are independent, so the
+    `_on_tier` puts each step and the pairing on float32, float64 or Python
+    ints from its own bound, so every value is exact, a block's powers may
+    change dtype from step to step, and the two powers the pairing takes
+    may differ in dtype.  Columns are independent, so the
     blocks give the table one pass would, and memory does not grow with
     the number of forms.
     """
@@ -370,30 +369,41 @@ def _top_pairing(ring: RingPresentation, steps, half: int):
     return acc, int(np.abs(acc).sum())
 
 
+def _on_tier(x, y, scale, *rest):
+    """`x`, `y` and `rest` cast to the one tier that keeps exact a product
+    of `x` and `y` whose partial sums stay below max|x| * max|y| * scale,
+    with each entry of `rest` at most `scale`.
+
+    Every value is then an exactly represented integer in any summation
+    order on the first tier whose limit that bound is below: float32 below
+    2^24, float64 below 2^53, both on BLAS, and from 2^53 on, or when `x` or
+    `y` is already an object array, Python ints in object arrays.  The casts
+    to a float tier are exact too: while both maxima are at least 1, each
+    of them, and each entry of `rest`, is at most the bound; when either
+    maximum, or `scale`, is 0, every product is 0, whatever the cast did to
+    the other factors.  An array already on the chosen float tier is not
+    copied, and a float32 one goes up to a later tier exactly.
+    """
+    if x.dtype == object or y.dtype == object:
+        bound = _EXACT
+    else:
+        bound = max(int(x.max()), -int(x.min())) * max(int(y.max()), -int(y.min())) * scale
+    if bound >= _EXACT:
+        return [_to_ints(a) for a in (x, y, *rest)]
+    dtype = np.float32 if bound < _EXACT32 else np.float64
+    return [a.astype(dtype, copy=False) for a in (x, y, *rest)]
+
+
 def _top_power(high, low, pairing, weight):
     """The coefficient of x^(l - 1) in alpha^top, exactly, for each column
     of `high` (alpha^half) and `low` (alpha^(top - half)) of the same forms.
 
     `pairing` is G^T and `weight` sum|G| from `_top_pairing`, so the value
-    is the sum over v of (pairing @ high)[v] * low[v].  Every partial sum of
-    a column stays below max|high| * max|low| * weight, so the pairing runs
-    on the tiers `_advance` uses, chosen from that bound: float32 below
-    2^24, float64 below 2^53, Python ints past it, which it returns.  Each
-    entry of G is at most `weight`, so float32 holds it while the bound is
-    below 2^24 and neither max is 0, and a 0 max makes every product 0.
-    `high` and `low` may differ in dtype, as powers taken on different
-    tiers do; both are cast to the chosen one.
+    is the sum over v of (pairing @ high)[v] * low[v].  Its partial sums
+    stay below max|high| * max|low| * weight, and each entry of G is at most
+    `weight`, so it runs on the tier `_on_tier` picks.
     """
-    if high.dtype == object or low.dtype == object:
-        bound = _EXACT
-    else:
-        bound = int(np.abs(high).max()) * int(np.abs(low).max()) * weight
-    if bound < _EXACT:
-        dtype = np.float32 if bound < _EXACT32 else np.float64
-        high, low = high.astype(dtype, copy=False), low.astype(dtype, copy=False)
-        pairing = pairing.astype(dtype, copy=False)
-    else:
-        high, low, pairing = _to_ints(high), _to_ints(low), _to_ints(pairing)
+    high, low, pairing = _on_tier(high, low, weight, pairing)
     return ((pairing @ high) * low).sum(axis=0)
 
 
@@ -403,40 +413,16 @@ def _advance(acc, mats, coeffs, growth):
     Forms run along the columns: `acc` holds one column of coordinates per
     form, `mats[i]` maps them up one degree, and `coeffs` holds integers,
     one row per generator and one column per form, so each term is one
-    matrix product scaled along contiguous rows.  `growth` is the step's
-    growth from `_step_matrices`.  Every partial sum of the step stays below
-    bound = max|acc| * max|coeffs| * growth, so each value is an exactly
-    represented integer in any summation order on the first tier whose
-    limit the bound is below: float32 below 2^24, float64 below 2^53, both
-    on BLAS, and past 2^53 Python ints in object arrays, where an object
-    `acc` keeps every later step.  `acc`, `mats` and `coeffs` are cast to
-    the chosen dtype, and the casts are exact too:
-    - while max|acc| and max|coeffs| are at least 1, each of them, and each
-      step-matrix entry, which is at most `growth`, is at most the bound;
-    - when either max, or `growth`, is 0, every product is 0, whatever
-      the cast did to the other factors.
-    A float32 `acc` from an earlier step goes up to float64 or Python ints
-    exactly.  The products share one buffer and are summed in place, so a
-    step holds two arrays of the result's size besides `acc`, and none
+    matrix product scaled along contiguous rows.  With `growth` from
+    `_step_matrices`, every partial sum stays below max|acc| * max|coeffs|
+    * growth, and each entry of `mats` is at most `growth`, so the step runs
+    on the tier `_on_tier` picks; an object `acc` keeps every later step on
+    Python ints.  The products share one buffer and are summed in place, so
+    a step holds two arrays of the result's size besides `acc`, and none
     after it; the callers pass blocks of a fixed number of columns.
     """
-    if acc.dtype == object:
-        bound = _EXACT
-    else:
-        bound = (
-            int(max(acc.max(), -acc.min()))
-            * max(int(coeffs.max()), -int(coeffs.min()))
-            * growth
-        )
-    if bound < _EXACT:
-        dtype = np.float32 if bound < _EXACT32 else np.float64
-        acc = acc.astype(dtype, copy=False)
-        mats = mats.astype(dtype, copy=False)
-        coeffs = coeffs.astype(dtype, order="C")
-    else:
-        acc = _to_ints(acc)
-        mats = [_to_ints(m) for m in mats]
-        coeffs = coeffs.astype(object)
+    acc, coeffs, mats = _on_tier(acc, coeffs, growth, mats)
+    coeffs = np.ascontiguousarray(coeffs)
     out = mats[0] @ acc
     out *= coeffs[0]
     term = np.empty_like(out)

@@ -374,6 +374,45 @@ def test_top_power_takes_each_tier(monkeypatch, big, tiers):
     assert int(value[0]) == power.terms[socle]
 
 
+@pytest.mark.parametrize(
+    "x, scale, dtype",
+    [
+        ([[-1]], 2**24 - 1, np.float32),
+        ([[-1]], 2**24, np.float64),
+        ([[-1]], 2**53 - 1, np.float64),
+        ([[-1]], 2**53, object),
+        # max|x| is 128 here, where np.abs would wrap int8 -128 to -128.
+        ([[-128]], 2**17 - 1, np.float32),
+        ([[-128]], 2**17, np.float64),
+    ],
+)
+def test_on_tier_picks_the_first_tier_below_the_bound(x, scale, dtype):
+    # max|y| = 1, so the bound is max|x| * scale; every array, `rest`
+    # included, comes back on the one tier, with its values.
+    x, y, rest = np.array(x, dtype=np.int8), np.array([[1]]), np.array([[3.0]])
+    out = classify._on_tier(x, y, scale, rest)
+    assert [a.dtype for a in out] == [np.dtype(dtype)] * 3
+    assert [a.tolist() for a in out] == [x.tolist(), [[1]], [[3]]]
+    if dtype is object:
+        assert all(type(a[0, 0]) is int for a in out)
+
+
+def test_on_tier_keeps_objects_zeros_and_arrays_on_tier(monkeypatch):
+    small = np.array([[1]])
+    for x, y in [(small.astype(object), small), (small, small.astype(object))]:
+        assert [a.dtype for a in classify._on_tier(x, y, 1, small)] == [np.dtype(object)] * 3
+    # A zero max makes every product 0, however large the rest.
+    zero = classify._on_tier(np.array([[-1]]), np.array([[0]]), 2**53, small)
+    assert [a.dtype for a in zero] == [np.dtype(np.float32)] * 3
+    for dtype, scale in [(np.float32, 1), (np.float64, 2**24)]:
+        arrays = [np.array([[-1.0]], dtype=dtype) for _ in range(3)]
+        out = classify._on_tier(*arrays[:2], scale, arrays[2])
+        assert all(np.shares_memory(a, b) for a, b in zip(out, arrays))
+    # The limits are read at call time.
+    monkeypatch.setattr(classify, "_EXACT32", 1)
+    assert classify._on_tier(small, small, 1)[0].dtype == np.float64
+
+
 def test_nilpotency_table_blocks_match_one_pass(monkeypatch):
     # Rows are independent, so forms cut into blocks of any size, at any
     # boundary, must get the table one pass gives them, on Python ints too.
