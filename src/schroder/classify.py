@@ -98,13 +98,11 @@ def _staircase(tree: SchroederTree) -> list[int]:
 _MAX_POINTS = 2**24
 
 
-def _check_points(k: int, bound: int) -> None:
+def _check_points(k: int, bound: int, limit: int) -> None:
     """Raise ValueError naming the grid [-bound, bound]^k if it has more
-    than `_MAX_POINTS` points."""
-    if (2 * bound + 1) ** k > _MAX_POINTS:
-        raise ValueError(
-            f"grid [-{bound}, {bound}]^{k} exceeds the limit of {_MAX_POINTS} points"
-        )
+    than `limit` points."""
+    if (2 * bound + 1) ** k > limit:
+        raise ValueError(f"grid [-{bound}, {bound}]^{k} exceeds the limit of {limit} points")
 
 
 def _grid(k: int, bound: int, dtype) -> np.ndarray:
@@ -112,7 +110,7 @@ def _grid(k: int, bound: int, dtype) -> np.ndarray:
 
     A grid of more than `_MAX_POINTS` points raises ValueError naming it.
     """
-    _check_points(k, bound)
+    _check_points(k, bound, _MAX_POINTS)
     return np.indices((2 * bound + 1,) * k, dtype=dtype).reshape(k, -1).T - bound
 
 
@@ -313,7 +311,7 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
         for p in range(max(half, top - 1) + 1):
             if p:
                 mats, growth = steps[p - 1]
-                acc = _advance(acc, mats, columns[:, alive], growth)  # alpha^p
+                acc = _advance(acc, mats, np.take(columns, alive, axis=1), growth)  # alpha^p
             keep = acc.any(axis=0)
             minp[alive[~keep]] = p
             if p == top - half:
@@ -412,17 +410,17 @@ def _advance(acc, mats, coeffs, growth):
 
     Forms run along the columns: `acc` holds one column of coordinates per
     form, `mats[i]` maps them up one degree, and `coeffs` holds integers,
-    one row per generator and one column per form, so each term is one
-    matrix product scaled along contiguous rows.  With `growth` from
-    `_step_matrices`, every partial sum stays below max|acc| * max|coeffs|
-    * growth, and each entry of `mats` is at most `growth`, so the step runs
-    on the tier `_on_tier` picks; an object `acc` keeps every later step on
-    Python ints.  The products share one buffer and are summed in place, so
-    a step holds two arrays of the result's size besides `acc`, and none
-    after it; the callers pass blocks of a fixed number of columns.
+    one row per generator and one column per form; callers pass it
+    C-ordered, so each term is one matrix product scaled along contiguous
+    rows.  With `growth` from `_step_matrices`, every partial sum stays
+    below max|acc| * max|coeffs| * growth, and each entry of `mats` is at
+    most `growth`, so the step runs on the tier `_on_tier` picks; an object
+    `acc` keeps every later step on Python ints.  The products share one
+    buffer and are summed in place, so a step holds two arrays of the
+    result's size besides `acc`, and none after it; the callers pass blocks
+    of a fixed number of columns.
     """
     acc, coeffs, mats = _on_tier(acc, coeffs, growth, mats)
-    coeffs = np.ascontiguousarray(coeffs)
     out = mats[0] @ acc
     out *= coeffs[0]
     term = np.empty_like(out)
@@ -561,13 +559,14 @@ def _relation_vanishes_batch(factors, i, rows, block, steps):
     once, one candidate per column and one exact `_advance` per factor.
     """
     k = block.shape[1]
+    cands = np.ascontiguousarray(block.T)
     acc = np.ones((1, len(block)))
     for (mats, growth), fvec in zip(steps, factors):
         fixed = [0] * k
         for s, c in enumerate(fvec):
             if c and s != i:
                 fixed = [a + c * b for a, b in zip(fixed, rows[s])]
-        images = fvec[i] * block.T + np.array(fixed, dtype=np.int64)[:, None]
+        images = fvec[i] * cands + np.array(fixed, dtype=np.int64)[:, None]
         acc = _advance(acc, mats, images, growth)
     return ~acc.any(axis=0)
 
@@ -657,11 +656,10 @@ def cohomology_isomorphic_bounded(
     # different classes have fingerprints worth comparing.
     same_class = canonical_code(t1) == canonical_code(t2)
     widest = max(bound, 0 if same_class else ell1[-1])
-    if (2 * widest + 1) ** k > _MAX_GRID:
-        return IsoVerdict(
-            "UNKNOWN",
-            f"grid [-{widest}, {widest}]^{k} exceeds the limit of {_MAX_GRID} points",
-        )
+    try:
+        _check_points(k, widest, _MAX_GRID)
+    except ValueError as exc:
+        return IsoVerdict("UNKNOWN", str(exc))
     if not same_class:
         fp1, fp2 = _tree_fingerprint(t1), _tree_fingerprint(t2)
         fields = [
@@ -729,7 +727,7 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
     # The slice's widest class, one vertex with n - k + 2 children and the
     # others with two, has the largest fingerprint grid; refuse before
     # generating any class.
-    _check_points(k, n - k + 2)
+    _check_points(k, n - k + 2, _MAX_POINTS)
     failures = []
     trees = class_trees(n, k)
     expected = riordan_table(n + 1).s(n + 1, k)

@@ -4,9 +4,9 @@ The tree route writes the ring directly from a Schroeder tree, read off
 the nesting of its dissection (combinatorics.nesting): one generator per
 internal vertex, named by its rightmost child's label, and one relation
 per internal vertex built from sums over descendant sets.
-The fan route starts from the Danilov-Jurkiewicz presentation, with one
-generator per ray, and eliminates the redundant generators through the
-linear relations.  The two outputs are compared term by term in tests.
+The fan route reads the Danilov-Jurkiewicz presentation off the fan alone
+and checks it against the tree's change of variables (`_gen_data`) as it
+eliminates the redundant generators; tests compare the two outputs.
 """
 
 from __future__ import annotations
@@ -65,11 +65,14 @@ class SchroederPresentation(RingPresentation):
 
 def _gen_data(tree: SchroederTree):
     """The nesting of the tree's dissection, keyed by the internal vertices
-    in preorder, and ``lam(e)``: the sum of the generators on e's rightmost
-    chain, e's own included, 0 for a side.
+    in preorder, and the image of every child edge, sides included, as a
+    coefficient vector over the tree generators.
 
     Generator i belongs to the i-th key and is named by its last child, so
-    ``lam(e)`` sums the names of the descendant set of e's vertex.
+    that child maps to e_i.  Any other child c of edge e maps to
+    ``lam(e) - lam(c)``, where ``lam(e)`` sums the generators on e's
+    rightmost chain, e's own included, 0 for a side: the generators named
+    by the descendant set of e's vertex.
     """
     nest = nesting(tree_to_dissection(tree))
     k = len(nest)
@@ -83,7 +86,13 @@ def _gen_data(tree: SchroederTree):
             vec[i] = 1
         return tuple(vec)
 
-    return nest, lam
+    image: dict[Edge, tuple[int, ...]] = {}
+    for i, (e, kids) in enumerate(nest.items()):
+        top = lam(e)
+        image[kids[-1]] = tuple(1 if t == i else 0 for t in range(k))
+        for c in kids[:-1]:
+            image[c] = tuple(a - b for a, b in zip(top, lam(c)))
+    return nest, image
 
 
 def _expand(k: int, vecs) -> IntPolynomial:
@@ -104,16 +113,20 @@ def _expand(k: int, vecs) -> IntPolynomial:
     return IntPolynomial._raw(k, terms)
 
 
-def _presentation(tree: SchroederTree, nest, factors):
-    """Multiply out each relation's linear factors; attach the vertex data."""
+def _presentation(tree: SchroederTree, nest, image):
+    """Multiply out each vertex's factors, the images of its last child and
+    then of the others in order; attach the vertex data."""
     labels = tuple(kids[-1] for kids in nest.values())
+    factors = tuple(
+        tuple(image[c] for c in (kids[-1], *kids[:-1])) for kids in nest.values()
+    )
     return SchroederPresentation(
         gens=tuple(f"x{a}_{b}" for a, b in labels),
         relations=tuple(_expand(len(nest), vecs) for vecs in factors),
         staircase=tuple(len(kids) for kids in nest.values()),
         vertices=tuple(tree.internal_preorder()),
         labels=labels,
-        factors=tuple(tuple(vecs) for vecs in factors),
+        factors=factors,
     )
 
 
@@ -125,16 +138,7 @@ def schroeder_presentation(tree: SchroederTree) -> SchroederPresentation:
     over w_j.  Expanded, it carries the generator's l-th power with
     coefficient +1, which is what staircase reduction needs.
     """
-    nest, lam = _gen_data(tree)
-    k = len(nest)
-    factors = []
-    for i, (e, kids) in enumerate(nest.items()):
-        top = lam(e)
-        vecs = [tuple(1 if t == i else 0 for t in range(k))]
-        for c in kids[:-1]:
-            vecs.append(tuple(a - b for a, b in zip(top, lam(c))))
-        factors.append(vecs)
-    return _presentation(tree, nest, factors)
+    return _presentation(tree, *_gen_data(tree))
 
 
 @dataclass(frozen=True)
@@ -206,30 +210,21 @@ def dj_presentation(f: Fan) -> DJPresentation:
 def eliminate(dj: DJPresentation, tree: SchroederTree) -> SchroederPresentation:
     """Substitute away every generator that is not a rightmost child.
 
-    A non-rightmost vertex's variable equals the descendant sum of its
-    parent minus its own; rightmost-child variables are kept verbatim.
-    After substitution every linear relation must cancel identically, and
-    each monomial relation, matched to its cell through the child labels,
-    becomes one relation of the tree presentation.
+    Each ray's variable goes to its edge's image under `_gen_data`.  Every
+    ray must be an edge of the tree, every linear relation must cancel
+    after substitution, and the monomial relations must match the internal
+    vertices' cells one to one, through the child labels.
     """
-    nest, lam = _gen_data(tree)
+    nest, image = _gen_data(tree)
     k = len(nest)
-    parent = {c: (i, e) for i, (e, kids) in enumerate(nest.items()) for c in kids}
-
-    substitution: dict[Edge, tuple[int, ...]] = {}
     for e in dj.edges:
-        if e not in parent:
+        if e not in image:
             raise InternalError(f"edge {e} is not a vertex label of the tree")
-        i, p = parent[e]
-        if e == nest[p][-1]:
-            substitution[e] = tuple(1 if t == i else 0 for t in range(k))
-        else:
-            substitution[e] = tuple(a - b for a, b in zip(lam(p), lam(e)))
 
     for form in dj.linear:
         acc = [0] * k
         for exp, coef in form.terms.items():
-            vec = substitution[dj.edges[exp.index(1)]]
+            vec = image[dj.edges[exp.index(1)]]
             for t, c in enumerate(vec):
                 acc[t] += coef * c
         if any(acc):
@@ -239,15 +234,11 @@ def eliminate(dj: DJPresentation, tree: SchroederTree) -> SchroederPresentation:
         raise InternalError(
             f"{len(dj.collections)} monomial relations for {k} internal vertices"
         )
-    by_edge_set = {
-        frozenset(dj.edges[i] for i in coll): coll for coll in dj.collections
-    }
-    factors = []
+    edge_sets = {frozenset(dj.edges[i] for i in coll) for coll in dj.collections}
     for e, kids in nest.items():
-        if frozenset(kids) not in by_edge_set:
+        if frozenset(kids) not in edge_sets:
             raise InternalError(f"no monomial relation matches the cell inside {e}")
-        factors.append([substitution[kids[-1]]] + [substitution[c] for c in kids[:-1]])
-    return _presentation(tree, nest, factors)
+    return _presentation(tree, nest, image)
 
 
 def betti_profile(tree: SchroederTree) -> tuple[int, ...]:

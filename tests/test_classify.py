@@ -823,6 +823,27 @@ def test_witness_search_falls_back_exactly(monkeypatch):
     assert results and all(out.dtype == object for out in results)
 
 
+def test_advance_gets_c_ordered_coefficients(monkeypatch):
+    # `_advance` scales contiguous rows of its coefficients and copies none,
+    # so every caller passes them C-ordered: the nilpotency table on the
+    # forms still alive, the one-hot pairing and the witness search on a
+    # block of candidates.
+    advance, flags = classify._advance, []
+
+    def recording(acc, mats, coeffs, growth):
+        flags.append(coeffs.flags.c_contiguous)
+        return advance(acc, mats, coeffs, growth)
+
+    monkeypatch.setattr(classify, "_advance", recording)
+    ring = schroeder_presentation(dissection_to_tree(RUNNING))
+    vectors = _primitive_array(ring.k, 2)
+    assert len(_nilpotency_table(ring, vectors)) == len(vectors)
+    table = len(flags)
+    assert _gl_witness(ring, ring, 1) is not None
+    assert 0 < table < len(flags)
+    assert all(flags)
+
+
 def test_fingerprints_match_on_python_ints(monkeypatch):
     trees = [tree for n in range(1, 6) for tree in class_trees(n)]
     expected = [_tree_fingerprint(tree) for tree in trees]

@@ -41,16 +41,26 @@ def test_descendant_sets_on_running_example():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_descendant_sums_follow_the_labels(n):
-    # lam reads the rightmost chains off the nesting; its oracle names each
-    # generator through the labels of the literal descendant set.
+    # The edge images read the rightmost chains off the nesting; their
+    # oracle names each generator through the labels of the literal
+    # descendant set: the last child of v maps to v's generator, any other
+    # child w to the sum named by v's descendant set minus w's.
     for tree in dissection_trees(n):
-        _, lam = _gen_data(tree)
+        _, image = _gen_data(tree)
         labels = phi_labels(tree)
         internal = tree.internal_preorder()
         gen = {labels[v + (tree.arity(v) - 1,)]: i for i, v in enumerate(internal)}
-        for v in internal:
+
+        def lam(v):
             named = Counter(gen[labels[u]] for u in descendant_set(tree, v))
-            assert lam(labels[v]) == tuple(named[i] for i in range(len(gen)))
+            return [named[i] for i in range(len(gen))]
+
+        assert len(image) == sum(tree.arity(v) for v in internal)
+        for i, v in enumerate(internal):
+            *others, last = (v + (j,) for j in range(tree.arity(v)))
+            assert image[labels[last]] == tuple(int(t == i) for t in range(len(gen)))
+            for w in others:
+                assert image[labels[w]] == tuple(a - b for a, b in zip(lam(v), lam(w)))
 
 
 def test_running_example_presentation():
@@ -237,6 +247,31 @@ def test_dj_presentation_checks_pin_their_messages(change, message):
     assert len(dj.edges) == 12
     with pytest.raises(ValueError) as info:
         replace(dj, **change(dj))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda dj: {"edges": dj.edges[:-1] + ((1, 8),)},
+         "edge (1, 8) is not a vertex label of the tree"),
+        (lambda dj: {"linear": (dj.linear[0] + IntPolynomial.variable(12, 0),) + dj.linear[1:]},
+         "a linear relation fails to vanish under substitution"),
+        (lambda dj: {"collections": dj.collections[1:]},
+         "3 monomial relations for 4 internal vertices"),
+        # Ray 3 moved from collection 1 into collection 0.
+        (lambda dj: {"collections": ((0, 1, 2, 3), (4, 5, 6)) + dj.collections[2:]},
+         "no monomial relation matches the cell inside (0, 3)"),
+    ],
+    ids=["foreign-edge", "linear-left-over", "missing-collection", "wrong-cell"],
+)
+def test_eliminate_checks_pin_their_messages(change, message):
+    # These four checks are all the fan route tests against the tree's
+    # change of variables; each fires on its own mutation of the fan data.
+    dj = dj_presentation(build_fan_direct(RUNNING))
+    assert dj.collections == ((0, 1, 2), (3, 4, 5, 6), (7, 8, 9), (10, 11))
+    with pytest.raises(InternalError) as info:
+        eliminate(replace(dj, **change(dj)), RUNNING_TREE)
     assert str(info.value) == message
 
 
