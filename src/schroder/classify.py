@@ -29,6 +29,7 @@ from .combinatorics import (
     dissection_to_tree,
     dissection_trees,
     kirkman_cayley,
+    nesting,
     riordan_table,
     tree_to_dissection,
 )
@@ -77,18 +78,6 @@ def count_classes(n: int, k: int | None = None) -> int:
                 f"code count for n={n}, k={cells} disagrees with the recurrence"
             )
     return sum(per_cells.values())
-
-
-def _staircase(tree: SchroederTree) -> list[int]:
-    """The staircase exponents of the tree's ring, sorted: one per internal
-    vertex, its child count, from one pass over the nodes."""
-    counts, stack = [], [tree.shape]
-    while stack:
-        node = stack.pop()
-        if node:
-            counts.append(len(node))
-            stack += node
-    return sorted(counts)
 
 
 # `_primitive_array` and `_candidate_array` build no grid past this many
@@ -635,13 +624,14 @@ def cohomology_isomorphic_bounded(
     Returns YES with a unimodular witness when a substitution with entries
     in [-bound, bound] identifies the two presentations, NO when an exact
     invariant separates the rings, and UNKNOWN otherwise.  YES and NO are
-    definitive; UNKNOWN only reflects the bound, or a grid of forms larger
-    than `_MAX_GRID` that the fingerprints or the search would need.
+    definitive; UNKNOWN only reflects the bound, a grid of forms larger
+    than `_MAX_GRID` that the fingerprints or the search would need, or a
+    vertex with more than 255 children, which canonical codes cannot hold.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    t1, t2 = dissection_to_tree(d1), dissection_to_tree(d2)
-    ell1, ell2 = _staircase(t1), _staircase(t2)
+    # One generator per internal vertex, its child count as exponent.
+    ell1, ell2 = (sorted(map(len, nesting(d).values())) for d in (d1, d2))
     k = len(ell1)
     if k != len(ell2):
         return IsoVerdict("NO", f"generator counts differ: {k} vs {len(ell2)}")
@@ -649,15 +639,12 @@ def cohomology_isomorphic_bounded(
         return IsoVerdict(
             "NO", f"staircase exponent multisets differ: {ell1} vs {ell2}"
         )
-    # Canonical codes hold each child count in one byte.
-    if ell1[-1] > 255:
-        return IsoVerdict("UNKNOWN", "vertices with more than 255 children are unsupported")
+    t1, t2 = dissection_to_tree(d1), dissection_to_tree(d2)
     # Equal codes give equal fingerprints by construction, so only trees of
     # different classes have fingerprints worth comparing.
-    same_class = canonical_code(t1) == canonical_code(t2)
-    widest = max(bound, 0 if same_class else ell1[-1])
     try:
-        _check_points(k, widest, _MAX_GRID)
+        same_class = canonical_code(t1) == canonical_code(t2)
+        _check_points(k, max(bound, 0 if same_class else ell1[-1]), _MAX_GRID)
     except ValueError as exc:
         return IsoVerdict("UNKNOWN", str(exc))
     if not same_class:

@@ -940,6 +940,14 @@ def test_iso_builds_each_tree_once(monkeypatch):
     pentagon = Dissection(3, ((1, 4),)), Dissection(3, ((0, 3),))
     assert cohomology_isomorphic_bounded(*pentagon, 2).status == "YES"
     assert calls == list(pentagon)
+    # A verdict the nesting gives builds no tree at all.
+    for pair in (
+        (Dissection(4, ((1, 4),)), Dissection(4, ((1, 3),))),
+        (Dissection(3, ()), Dissection(3, ((1, 3),))),
+    ):
+        calls.clear()
+        assert cohomology_isomorphic_bounded(*pair, 2).status == "NO"
+        assert calls == []
 
 
 def test_iso_builds_presentations_only_for_the_search(monkeypatch):
@@ -998,6 +1006,16 @@ def test_verdict_no_on_cheap_invariants():
     )
     assert profile.status == "NO"
     assert "fingerprints differ" in profile.detail
+    # At the one-byte child limit the staircase still answers first.
+    counts = cohomology_isomorphic_bounded(Dissection(255, ()), Dissection(255, ((0, 2),)))
+    assert (counts.status, counts.detail) == ("NO", "generator counts differ: 1 vs 2")
+    wide = cohomology_isomorphic_bounded(
+        Dissection(255, ((0, 2),)), Dissection(255, ((0, 3),))
+    )
+    assert (wide.status, wide.detail) == (
+        "NO",
+        "staircase exponent multisets differ: [2, 255] vs [3, 254]",
+    )
 
 
 def test_verdict_no_on_the_three_cell_pair():

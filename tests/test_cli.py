@@ -141,21 +141,40 @@ def test_iso_declines_oversized_grid(capsys, tmp_path):
     }
 
 
+_TOO_WIDE = "vertices with more than 255 children are unsupported"
+
+
 @pytest.mark.parametrize(
-    "n, code, status",
-    [(255, 3, "UNKNOWN"), (254, 0, "YES")],
-    ids=["256-children", "255-children"],
+    "first, second, code, status, detail",
+    [
+        ((255, []), (255, []), 3, "UNKNOWN", _TOO_WIDE),
+        ((254, []), (254, []), 0, "YES", None),
+        ((255, []), (255, [[0, 2]]), 1, "NO", "generator counts differ: 1 vs 2"),
+        (
+            (255, [[0, 2]]),
+            (255, [[0, 3]]),
+            1,
+            "NO",
+            "staircase exponent multisets differ: [2, 255] vs [3, 254]",
+        ),
+        ((256, [[0, 2]]), (256, [[1, 3]]), 3, "UNKNOWN", _TOO_WIDE),
+    ],
+    ids=["256-children", "255-children", "counts", "staircase", "256-children-pair"],
 )
-def test_iso_on_one_wide_cell(capsys, tmp_path, n, code, status):
+def test_iso_on_one_wide_cell(capsys, tmp_path, first, second, code, status, detail):
     """Canonical codes hold a child count in one byte: past 255 children the
-    answer is UNKNOWN, not a traceback."""
-    cell = write(tmp_path, "cell.json", json.dumps({"n": n, "diagonals": []}))
-    got, out, err = run(capsys, "iso", cell, cell, "--bound", "1")
+    answer is UNKNOWN, not a traceback, and only once the generator counts
+    and staircases agree."""
+    paths = [
+        write(tmp_path, f"{i}.json", json.dumps({"n": n, "diagonals": diagonals}))
+        for i, (n, diagonals) in enumerate((first, second))
+    ]
+    got, out, err = run(capsys, "iso", *paths, "--bound", "1")
     assert (got, err) == (code, "")
     doc = json.loads(out)
     assert doc["status"] == status
-    if status == "UNKNOWN":
-        assert doc["detail"] == "vertices with more than 255 children are unsupported"
+    if detail is not None:
+        assert doc["detail"] == detail
 
 
 def test_classify_refuses_before_other_slices(capsys, monkeypatch):
