@@ -433,6 +433,12 @@ class Fingerprint:
     the presentation's labels: those whose vertex's last child is a leaf,
     which on the canonical tree are the internal vertices whose children
     are all leaves.  It is the one field read off the labels, not the ring.
+    `profile` moves with the presentation, and `vanishing_rank` is not
+    proven invariant, but `k`, `bound`, `staircase` and `hilbert` are ring
+    invariants: the Hilbert series is the product of (1 - t^l) / (1 - t)
+    over the staircase, each the product of the cyclotomic Phi_d, d > 1
+    dividing l, so Phi_d occurs once per l_i that d divides; Moebius
+    inversion of these counts fixes the staircase, every l_i being >= 2.
     """
 
     k: int
@@ -462,26 +468,23 @@ def fingerprint(d: Dissection) -> Fingerprint:
     The nilpotency profile of a fixed presentation depends on the plane
     embedding of the tree, so all dissections in one isomorphism class are
     routed through the canonical representative; equal codes then give equal
-    fingerprints by construction.  The bound is the largest staircase
-    exponent.
+    fingerprints by construction.  This is the one fingerprint entry, and
+    the only place on its path that calls `canonical_form`.
     """
-    return _tree_fingerprint(dissection_to_tree(d))
+    return _table_fingerprint(*_class_table(canonical_form(dissection_to_tree(d))))
 
 
-def _tree_fingerprint(tree: SchroederTree) -> Fingerprint:
-    """Fingerprint of the class of any plane tree, computed on its canonical
-    form, so every member of a class gets the same value."""
-    tree = canonical_form(tree)
+def _class_table(tree: SchroederTree):
+    """The tree's ring, its primitive forms in [-l, l]^k with l the largest
+    staircase exponent, and their nilpotency table: the fingerprint's forms."""
     ring = schroeder_presentation(tree)
     vectors = _primitive_array(ring.k, max(ring.staircase))
-    table = _nilpotency_table(ring, vectors)
-    return _table_fingerprint(ring, vectors, table)
+    return ring, vectors, _nilpotency_table(ring, vectors)
 
 
 def _table_fingerprint(ring, vectors, table) -> Fingerprint:
-    """Fingerprint of a canonical tree, given its ring and the nilpotency
-    table of `vectors`, the primitive forms bounded by the largest staircase
-    exponent."""
+    """Fingerprint of a tree from its ring, forms and table, as
+    `_class_table` gives them; the canonical tree gives the class's."""
     staircase = tuple(sorted(ring.staircase))
     powers = np.array(table)
     values, counts = np.unique(powers, return_counts=True)
@@ -627,6 +630,9 @@ def cohomology_isomorphic_bounded(
     definitive; UNKNOWN only reflects the bound, a grid of forms larger
     than `_MAX_GRID` that the fingerprints or the search would need, or a
     vertex with more than 255 children, which canonical codes cannot hold.
+    A staircase NO builds no tree and any other pair builds each once, but
+    a pair of different classes takes both fingerprints from `fingerprint`,
+    which builds each tree once more.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -648,7 +654,7 @@ def cohomology_isomorphic_bounded(
     except ValueError as exc:
         return IsoVerdict("UNKNOWN", str(exc))
     if not same_class:
-        fp1, fp2 = _tree_fingerprint(t1), _tree_fingerprint(t2)
+        fp1, fp2 = fingerprint(d1), fingerprint(d2)
         fields = [
             f
             for f in Fingerprint.__dataclass_fields__
@@ -797,11 +803,7 @@ def verify_prop_further(ell: int, internal: int) -> UniformTreeReport:
     failures = []
     data = []
     for _, shape in _canonical_shapes(n + 1, ell):
-        tree = SchroederTree(shape)
-        ring = schroeder_presentation(tree)
-        # Every staircase exponent is ell, so these are the fingerprint's forms.
-        vectors = _primitive_array(ring.k, ell)
-        table = _nilpotency_table(ring, vectors)
+        ring, vectors, table = _class_table(SchroederTree(shape))
         powers = dict(zip(map(tuple, vectors.tolist()), table))
         # A generator named by a side belongs to a vertex with only leaf
         # children: the tree is canonical.
@@ -809,12 +811,12 @@ def verify_prop_further(ell: int, internal: int) -> UniformTreeReport:
             unit = tuple(int(t == i) for t in range(ring.k))
             if (powers[unit] <= ell) != (b - a == 1):
                 failures.append(
-                    f"generator {i} of {tree.shape} breaks the power dichotomy"
+                    f"generator {i} of {shape} breaks the power dichotomy"
                 )
         for vec, p in powers.items():
             if p <= ell and sum(1 for c in vec if c) >= 2:
                 failures.append(
-                    f"mixed form {vec} on {tree.shape} has vanishing power {p}"
+                    f"mixed form {vec} on {shape} has vanishing power {p}"
                 )
         data.append(_table_fingerprint(ring, vectors, table))
 

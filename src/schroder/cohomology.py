@@ -45,21 +45,19 @@ def descendant_set(tree: SchroederTree, v: Path) -> frozenset[Path]:
 class SchroederPresentation(RingPresentation):
     """Ring presentation remembering which tree vertex produced what.
 
-    ``vertices`` lists the internal vertices in preorder, ``labels`` the
-    rightmost-child label naming each generator, and ``factors`` the linear
+    Generator i is the i-th key of the dissection's nesting, named by
+    ``labels[i]``, that vertex's last child; ``factors`` are the linear
     forms (as coefficient vectors) whose product is each relation.
     """
 
-    vertices: tuple[Path, ...]
     labels: tuple[Edge, ...]
     factors: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "factors", tuple(self.factors))
-        if not len(self.vertices) == len(self.labels) == len(self.factors) == self.k:
+        if not len(self.labels) == len(self.factors) == self.k:
             raise ValueError("per-generator metadata must match generator count")
 
 
@@ -113,9 +111,9 @@ def _expand(k: int, vecs) -> IntPolynomial:
     return IntPolynomial._raw(k, terms)
 
 
-def _presentation(tree: SchroederTree, nest, image):
+def _presentation(nest, image):
     """Multiply out each vertex's factors, the images of its last child and
-    then of the others in order; attach the vertex data."""
+    then of the others in order; attach the labels and factors."""
     labels = tuple(kids[-1] for kids in nest.values())
     factors = tuple(
         tuple(image[c] for c in (kids[-1], *kids[:-1])) for kids in nest.values()
@@ -124,7 +122,6 @@ def _presentation(tree: SchroederTree, nest, image):
         gens=tuple(f"x{a}_{b}" for a, b in labels),
         relations=tuple(_expand(len(nest), vecs) for vecs in factors),
         staircase=tuple(len(kids) for kids in nest.values()),
-        vertices=tuple(tree.internal_preorder()),
         labels=labels,
         factors=factors,
     )
@@ -138,7 +135,7 @@ def schroeder_presentation(tree: SchroederTree) -> SchroederPresentation:
     over w_j.  Expanded, it carries the generator's l-th power with
     coefficient +1, which is what staircase reduction needs.
     """
-    return _presentation(tree, *_gen_data(tree))
+    return _presentation(*_gen_data(tree))
 
 
 @dataclass(frozen=True)
@@ -238,7 +235,7 @@ def eliminate(dj: DJPresentation, tree: SchroederTree) -> SchroederPresentation:
     for e, kids in nest.items():
         if frozenset(kids) not in edge_sets:
             raise InternalError(f"no monomial relation matches the cell inside {e}")
-    return _presentation(tree, nest, image)
+    return _presentation(nest, image)
 
 
 def betti_profile(tree: SchroederTree) -> tuple[int, ...]:

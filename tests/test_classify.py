@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 import schroder.classify as classify
 from schroder.classify import (
     ThreeCellTree,
+    _class_table,
     _gl_witness,
+    _group,
     _nilpotency_table,
     _primitive_array,
     _step_matrices,
     _table_fingerprint,
-    _tree_fingerprint,
     cohomology_isomorphic_bounded,
     count_classes,
     fingerprint,
@@ -846,9 +847,9 @@ def test_advance_gets_c_ordered_coefficients(monkeypatch):
 
 def test_fingerprints_match_on_python_ints(monkeypatch):
     trees = [tree for n in range(1, 6) for tree in class_trees(n)]
-    expected = [_tree_fingerprint(tree) for tree in trees]
+    expected = [fingerprint(tree_to_dissection(tree)) for tree in trees]
     monkeypatch.setattr(classify, "_EXACT", 1)
-    assert [_tree_fingerprint(tree) for tree in trees] == expected
+    assert [fingerprint(tree_to_dissection(tree)) for tree in trees] == expected
 
 
 # sha256 of [n, k, canonical code, repr(fingerprint)] for every class with
@@ -859,7 +860,7 @@ GOLDEN_FINGERPRINTS = "d37e4defa2cd43fc2c03235bb1377b3b9b0bb9d38d83217fd77dde784
 
 def test_golden_fingerprints():
     rows = [
-        [n, k, canonical_code(tree).hex(), repr(_tree_fingerprint(tree))]
+        [n, k, canonical_code(tree).hex(), repr(fingerprint(tree_to_dissection(tree)))]
         for n in range(1, 7)
         for k in range(1, n + 1)
         for tree in sorted(class_trees(n, k), key=canonical_code)
@@ -867,6 +868,22 @@ def test_golden_fingerprints():
     assert len(rows) == 143
     digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
     assert digest == GOLDEN_FINGERPRINTS
+
+
+def test_ring_invariant_fields_agree_on_every_member():
+    # Oracle for the fields Fingerprint names as ring invariants, plus
+    # vanishing_rank: each member's own presentation, not the canonical
+    # one, gives the same values.  profile and l_size do move within some
+    # classes, so they are left out.
+    fields = ("k", "bound", "staircase", "hilbert", "vanishing_rank")
+    classes = 0
+    for n in range(1, 6):
+        for members in _group(dissection_trees(n)).values():
+            prints = [_table_fingerprint(*_class_table(tree)) for tree in members]
+            for field in fields:
+                assert len({getattr(fp, field) for fp in prints}) == 1, (field, members[0])
+            classes += 1
+    assert classes == sum(count_classes(n) for n in range(1, 6))
 
 
 def test_fingerprint_is_a_class_invariant():
@@ -976,19 +993,26 @@ def test_iso_builds_presentations_only_for_the_search(monkeypatch):
 
 
 def test_same_class_iso_skips_fingerprints(monkeypatch):
-    tables = []
+    tables, prints = [], []
 
     def counting(ring, vectors):
         tables.append(ring)
         return _nilpotency_table(ring, vectors)
 
+    def fingerprinting(d):
+        prints.append(d)
+        return fingerprint(d)
+
     monkeypatch.setattr(classify, "_nilpotency_table", counting)
+    # The public entry, the one a tracer wraps, makes every fingerprint.
+    monkeypatch.setattr(classify, "fingerprint", fingerprinting)
     mirror = Dissection(3, ((1, 3),)), Dissection(3, ((0, 2),))
     assert cohomology_isomorphic_bounded(*mirror, 2).status == "YES"
-    assert tables == []
+    assert tables == prints == []
     other = Dissection(3, ((1, 4),)), Dissection(3, ((2, 4),))
     assert cohomology_isomorphic_bounded(*other, 2).status == "NO"
     assert len(tables) == 2
+    assert prints == list(other)
 
 
 def test_verdict_no_on_cheap_invariants():
@@ -1163,7 +1187,7 @@ def test_prop_further_builds_one_table_per_class(monkeypatch):
     monkeypatch.undo()
     trees = [SchroederTree(shape) for _, shape in _canonical_shapes(11, 3)]
     for tree, fp in zip(trees, prints, strict=True):
-        assert fp == _tree_fingerprint(tree)
+        assert fp == fingerprint(tree_to_dissection(tree))
 
 
 def test_uniform_tree_preconditions():

@@ -67,13 +67,24 @@ def test_running_example_presentation():
     sp = schroeder_presentation(RUNNING_TREE)
     assert sp.gens == ("x8_9", "x3_7", "x2_3", "x6_7")
     assert sp.staircase == (3, 2, 3, 4)
-    assert sp.vertices == ((), (0,), (0, 0), (0, 1))
     assert sp.labels == ((8, 9), (3, 7), (2, 3), (6, 7))
     a, b, c, d = (IntPolynomial.variable(4, i) for i in range(4))
     assert sp.relations[0] == a**2 * (a - b - d)
     assert sp.relations[1] == b * (b - c + d)
     assert sp.relations[2] == c**3
     assert sp.relations[3] == d**4
+
+
+def test_ring_builds_without_the_path_walk(monkeypatch):
+    # Generator order comes from the nesting alone, not from tree paths.
+    expected = schroeder_presentation(RUNNING_TREE)
+
+    def refuse(self):
+        raise AssertionError("the tree ring walked the tree's paths")
+
+    monkeypatch.setattr(SchroederTree, "_walk", refuse)
+    assert schroeder_presentation(RUNNING_TREE) == expected
+    assert eliminate(dj_presentation(build_fan_direct(RUNNING)), RUNNING_TREE) == expected
 
 
 def test_running_example_betti_numbers():
@@ -282,8 +293,7 @@ def test_presentation_metadata_length_checked():
             gens=sp.gens,
             relations=sp.relations,
             staircase=sp.staircase,
-            vertices=sp.vertices[:-1],
-            labels=sp.labels,
+            labels=sp.labels[:-1],
             factors=sp.factors,
         )
 
