@@ -27,7 +27,7 @@ from .combinatorics import (
     canonical_form,
     class_trees,
     dissection_to_tree,
-    dissection_trees,
+    enumerate_dissections,
     kirkman_cayley,
     nesting,
     riordan_table,
@@ -52,14 +52,6 @@ def variety_isomorphic(d1: Dissection, d2: Dissection) -> bool:
     return canonical_code(dissection_to_tree(d1)) == canonical_code(
         dissection_to_tree(d2)
     )
-
-
-def _group(trees) -> dict[bytes, list[SchroederTree]]:
-    """Trees by canonical code; groups and their members in input order."""
-    groups: dict[bytes, list[SchroederTree]] = {}
-    for tree in trees:
-        groups.setdefault(canonical_code(tree), []).append(tree)
-    return groups
 
 
 def count_classes(n: int, k: int | None = None) -> int:
@@ -745,9 +737,11 @@ def verify_theorem1(n: int, k: int, gl_bound: int | None = None) -> TheoremOneRe
 
     searches = 0
     if gl_bound is not None:
-        members = _group(dissection_trees(n, k))
+        members: dict[bytes, list[Dissection]] = {}
+        for d in enumerate_dissections(n, k):
+            members.setdefault(canonical_code(dissection_to_tree(d)), []).append(d)
         for rep, tree in reps:
-            for d in map(tree_to_dissection, members[canonical_code(tree)]):
+            for d in members[canonical_code(tree)]:
                 verdict = cohomology_isomorphic_bounded(rep, d, gl_bound)
                 searches += 1
                 if verdict.status != "YES":

@@ -101,7 +101,7 @@ def cmd_enumerate(args) -> int:
     with _output(args.out) as fh:
         count = 0
         middle = f', "n": {args.n}, "tree": '
-        for diagonals, tree in _dissection_records(args.n, args.k):
+        for _, diagonals, tree in _dissection_records(args.n, args.k):
             fh.write('{"diagonals": ' + diagonals + middle + tree + "}\n")
             count += 1
         ks = range(1, args.n + 1) if args.k is None else [args.k]

@@ -383,22 +383,23 @@ def enumerate_trees(n_leaves: int) -> list[SchroederTree]:
     return [SchroederTree(s) for s in _shapes(n_leaves)]
 
 
-def dissection_trees(n: int, k: int | None = None) -> list[SchroederTree]:
-    """Trees of the dissections of P_{n+2} (with k cells if given), in the
-    enumerate_trees order that enumerate_dissections(n, k) follows."""
+def _check_slice(n: int, k: int | None) -> None:
+    """Raise ValueError unless n >= 1 and k, if given, is in 1..n."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    return [t for t in enumerate_trees(n + 1) if k is None or t.internal_count == k]
 
 
 def _dissection_records(n: int, k: int | None = None):
-    """(JSON of the diagonals, nested-array JSON of the tree) of each
-    dissection_trees(n, k) member, in that order, assembled from the
-    fragments of the root's children without building trees or dissections.
+    """(diagonals, JSON of the diagonals, nested-array JSON of the tree) of
+    each dissection of P_{n+2} (with k cells if given), in the order of its
+    tree in enumerate_trees(n + 1), assembled from the fragments of the
+    root's children without building trees or dissections.
 
-    The texts are what json.dumps makes of the sorted (i, j) pairs and of
-    the tree's array.  The pairs of each record pass the check Dissection
-    makes, or InternalError names the record.
+    The diagonals are sorted (i, j) pairs, and the texts are what json.dumps
+    makes of them and of the tree's array.  The pairs of each record pass
+    the check Dissection makes, or InternalError names the record.
     """
     for labels, texts in _joined(n + 1, k):
         pairs = iter(labels)
@@ -409,7 +410,7 @@ def _dissection_records(n: int, k: int | None = None):
             _check_diagonals(n, diagonals)
         except ValueError as exc:
             raise InternalError(f"enumerate record {text} is not a dissection: {exc}") from None
-        yield text, "[" + texts + "]"
+        yield diagonals, text, "[" + texts + "]"
 
 
 def _partitions(total: int, largest: int, parts: int | None):
@@ -466,10 +467,7 @@ def _classes(n: int, k: int | None = None) -> list[tuple[int, tuple]]:
     A canonical code lists every vertex's child count, 0 for a leaf only, so
     the cell count is read off it before any tree is built.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if k is not None and not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    _check_slice(n, k)
     cells = ((len(code) - code.count(0), shape) for code, shape in _canonical_shapes(n + 1, None))
     return [c for c in cells if k is None or c[0] == k]
 
@@ -487,10 +485,11 @@ def class_trees(n: int, k: int | None = None) -> list[SchroederTree]:
 def enumerate_dissections(n: int, k: int | None = None) -> list[Dissection]:
     """All dissections of the polygon on 0..n+1, optionally with exactly k cells.
 
-    Runs through trees (see enumerate_trees for the order) and maps each one
-    back to its dissection, so no crossing tests are ever needed.
+    Listed in the order of their trees in enumerate_trees(n + 1), from the
+    records that `enumerate` writes.
     """
-    return [tree_to_dissection(t) for t in dissection_trees(n, k)]
+    _check_slice(n, k)
+    return [Dissection(n, diagonals) for diagonals, _, _ in _dissection_records(n, k)]
 
 
 def canonical_code(tree: SchroederTree) -> bytes:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schroder.classify as classify
+import schroder.combinatorics as combinatorics
 from schroder.classify import (
     ThreeCellTree,
     _class_table,
     _gl_witness,
-    _group,
     _nilpotency_table,
     _primitive_array,
     _step_matrices,
@@ -38,8 +39,8 @@ from schroder.combinatorics import (
     canonical_form,
     class_trees,
     dissection_to_tree,
-    dissection_trees,
     enumerate_dissections,
+    enumerate_trees,
     riordan_table,
     tree_to_dissection,
 )
@@ -782,8 +783,9 @@ def per_candidate_witness(sp1, sp2, bound):
 def class_pairs(n, k):
     """(representative ring, member ring) for every member of every class."""
     members = {}
-    for tree in dissection_trees(n, k):
-        members.setdefault(canonical_code(tree), []).append(tree)
+    for tree in enumerate_trees(n + 1):
+        if tree.internal_count == k:
+            members.setdefault(canonical_code(tree), []).append(tree)
     for rep in class_trees(n, k):
         sp1 = schroeder_presentation(rep)
         for tree in members[canonical_code(rep)]:
@@ -878,7 +880,10 @@ def test_ring_invariant_fields_agree_on_every_member():
     fields = ("k", "bound", "staircase", "hilbert", "vanishing_rank")
     classes = 0
     for n in range(1, 6):
-        for members in _group(dissection_trees(n)).values():
+        groups = {}
+        for tree in enumerate_trees(n + 1):
+            groups.setdefault(canonical_code(tree), []).append(tree)
+        for members in groups.values():
             prints = [_table_fingerprint(*_class_table(tree)) for tree in members]
             for field in fields:
                 assert len({getattr(fp, field) for fp in prints}) == 1, (field, members[0])
@@ -1119,6 +1124,40 @@ def test_theorem1_reports():
     assert searched.searches == len(enumerate_dissections(3, 2))
 
 
+def test_dissection_lists_need_no_plane_shapes(monkeypatch):
+    # The members of --bound and enumerate_dissections come from the
+    # record fragments, never from the plane trees of _shapes.
+    report = verify_theorem1(5, 2, 1)
+    dissections = enumerate_dissections(6)
+
+    def refuse(n_leaves):
+        raise AssertionError(f"plane shapes with {n_leaves} leaves built")
+
+    monkeypatch.setattr(combinatorics, "_shapes", refuse)
+    assert verify_theorem1(5, 2, 1) == report
+    assert report.ok and report.searches == 14
+    assert enumerate_dissections(6) == dissections
+
+
+def test_theorem1_reports_colliding_fingerprints(monkeypatch):
+    monkeypatch.setattr(classify, "fingerprint", lambda d: "constant")
+    report = verify_theorem1(4, 2)
+    assert not report.ok
+    assert report.failures == (
+        "fingerprints collide across classes: ((1, 5),) vs ((2, 5),)",
+        "fingerprints collide across classes: ((1, 5),) vs ((3, 5),)",
+        "fingerprints collide across classes: ((2, 5),) vs ((3, 5),)",
+    )
+
+
+def test_theorem1_reports_a_missing_class(monkeypatch):
+    monkeypatch.setattr(classify, "class_trees", lambda n, k: class_trees(n, k)[1:])
+    report = verify_theorem1(4, 2)
+    assert not report.ok
+    assert (report.class_count, report.expected_count) == (2, 3)
+    assert report.failures == ("found 2 classes, recurrence table gives 3",)
+
+
 def test_theorem1_fingerprints_each_class_once(monkeypatch):
     calls = []
 
@@ -1188,6 +1227,63 @@ def test_prop_further_builds_one_table_per_class(monkeypatch):
     trees = [SchroederTree(shape) for _, shape in _canonical_shapes(11, 3)]
     for tree, fp in zip(trees, prints, strict=True):
         assert fp == fingerprint(tree_to_dissection(tree))
+
+
+def perturbed_class_table(monkeypatch, pick):
+    """Make _class_table set the power of form `pick(vectors)` of the first
+    class to 3, the out-degree; return that form and the class's shape."""
+    real = classify._class_table
+    first = SchroederTree(_canonical_shapes(9, 3)[0][1])
+    seen = []
+
+    def perturbed(tree):
+        ring, vectors, table = real(tree)
+        if tree == first:
+            i = pick(vectors.tolist())
+            seen.append(tuple(vectors[i].tolist()))
+            table = [*table[:i], 3, *table[i + 1:]]
+        return ring, vectors, table
+
+    monkeypatch.setattr(classify, "_class_table", perturbed)
+    return seen, first.shape
+
+
+def test_prop_further_reports_a_generator_off_the_dichotomy(monkeypatch):
+    # Generator 0 of the first class is named by (2, 9), not by a side.
+    seen, shape = perturbed_class_table(monkeypatch, lambda vs: vs.index([1, 0, 0, 0]))
+    report = verify_prop_further(3, 4)
+    assert seen == [(1, 0, 0, 0)]
+    assert report.failures == (f"generator 0 of {shape} breaks the power dichotomy",)
+
+
+def test_prop_further_reports_a_vanishing_mixed_form(monkeypatch):
+    # The last mixed form: perturbing the first one would also give the
+    # class the ring data of the next class.
+    def mixed(vectors):
+        return max(i for i, v in enumerate(vectors) if sum(1 for c in v if c) >= 2)
+
+    seen, shape = perturbed_class_table(monkeypatch, mixed)
+    report = verify_prop_further(3, 4)
+    assert report.failures == (f"mixed form {seen[0]} on {shape} has vanishing power 3",)
+
+
+def test_prop_further_reports_classes_sharing_ring_data(monkeypatch):
+    real = classify._table_fingerprint
+
+    def blurred(ring, vectors, table):
+        fp = real(ring, vectors, table)
+        return replace(fp, staircase=(), hilbert=(), profile=(), vanishing_rank=0)
+
+    monkeypatch.setattr(classify, "_table_fingerprint", blurred)
+    report = verify_prop_further(3, 4)
+    sizes = report.l_sizes
+    assert report.failures == tuple(
+        f"classes {i} and {j} differ in leaf-children count but share all ring data"
+        for i in range(len(sizes))
+        for j in range(i + 1, len(sizes))
+        if sizes[i] != sizes[j]
+    )
+    assert len(report.failures) == 5
 
 
 def test_uniform_tree_preconditions():

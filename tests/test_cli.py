@@ -209,6 +209,15 @@ def test_classify_json_reports(capsys):
     assert doc["reports"][0]["ok"] is True
 
 
+def test_classify_with_colliding_fingerprints_is_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr("schroder.classify.fingerprint", lambda d: "constant")
+    code, out, err = run(capsys, "classify", "--n", "4", "--k", "2", "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)["reports"][0]
+    assert report["ok"] is False
+    assert len(report["failures"]) == 3
+
+
 def test_classify_with_witness_search(capsys):
     code, out, _ = run(
         capsys, "classify", "--n", "3", "--k", "2", "--format", "json", "--bound", "2"
@@ -568,11 +577,16 @@ def test_enumerate_record_failing_its_check_is_exit_four(capsys, monkeypatch):
     )
     code, _, err = run(capsys, "enumerate", "--n", "4")
     assert code == 4
-    assert err == (
-        "internal error: enumerate record [[1, 3], [1, 5], [2, 4]] is not a dissection: "
-        "diagonals (1, 3) and (2, 4) cross\n"
+    message = (
+        "enumerate record [[1, 3], [1, 5], [2, 4]] is not a dissection: "
+        "diagonals (1, 3) and (2, 4) cross"
     )
+    assert err == f"internal error: {message}\n"
     assert "Traceback" not in err
+    # The library's dissection lists come from the same records and check.
+    with pytest.raises(InternalError) as info:
+        combinatorics.enumerate_dissections(4)
+    assert str(info.value) == message
 
 def test_output_is_deterministic(capsys):
     first = run(capsys, "enumerate", "--n", "5")

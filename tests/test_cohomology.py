@@ -19,8 +19,8 @@ from schroder.combinatorics import (
     Dissection,
     SchroederTree,
     dissection_to_tree,
-    dissection_trees,
     enumerate_dissections,
+    enumerate_trees,
     phi_labels,
     tree_to_dissection,
 )
@@ -45,7 +45,7 @@ def test_descendant_sums_follow_the_labels(n):
     # oracle names each generator through the labels of the literal
     # descendant set: the last child of v maps to v's generator, any other
     # child w to the sum named by v's descendant set minus w's.
-    for tree in dissection_trees(n):
+    for tree in enumerate_trees(n + 1):
         _, image = _gen_data(tree)
         labels = phi_labels(tree)
         internal = tree.internal_preorder()

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from schroder.classify import count_classes
 from schroder.combinatorics import (
     Dissection,
     SchroederTree,
@@ -19,8 +20,8 @@ from schroder.combinatorics import (
     _shapes,
     canonical_code,
     canonical_form,
+    class_trees,
     dissection_to_tree,
-    dissection_trees,
     enumerate_dissections,
     enumerate_trees,
     kirkman_cayley,
@@ -73,16 +74,22 @@ def nested_array(shape):
 
 
 def test_records_match_trees_and_dissections():
+    # Oracle: the tree route, every plane tree mapped to its dissection and
+    # filtered by cell count, for the records and the dissection lists.
     for n in range(1, 8):
         for k in [None, *range(1, n + 1)]:
+            trees = [t for t in enumerate_trees(n + 1) if k is None or t.internal_count == k]
+            dissections = [tree_to_dissection(t) for t in trees]
             expected = [
                 (
-                    json.dumps(tree_to_dissection(t).diagonals),
+                    list(d.diagonals),
+                    json.dumps(d.diagonals),
                     json.dumps(nested_array(t.shape)),
                 )
-                for t in dissection_trees(n, k)
+                for d, t in zip(dissections, trees)
             ]
             assert list(_dissection_records(n, k)) == expected
+            assert enumerate_dissections(n, k) == dissections
 
 
 def test_fragments_match_the_label_walk():
@@ -304,7 +311,13 @@ def test_enumerate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         enumerate_dissections(3, 4)
     with pytest.raises(ValueError):
+        enumerate_dissections(0)
+    with pytest.raises(ValueError):
         enumerate_trees(0)
+    with pytest.raises(ValueError, match="k must be in 1..3, got 0"):
+        class_trees(3, 0)
+    with pytest.raises(ValueError, match="k must be in 1..3, got 4"):
+        count_classes(3, 4)
 
 
 def test_json_roundtrips():
