@@ -124,23 +124,18 @@ _EXACT32 = 2**24
 _to_ints = np.frompyfunc(int, 1, 1)
 
 
-def _next_basis(basis, ell):
-    """The staircase monomials one degree above those of `basis`, sorted."""
-    return sorted(
-        {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in basis for i in range(len(ell)) if e[i] + 1 < ell[i]}
-    )
-
-
 def _step_matrices(ring: RingPresentation, degree: int):
     """Multiplication by each generator between graded staircase components.
 
-    `steps[d]`, for d < degree, is `(mats, growth)`: `mats[i]` is the matrix
-    of multiplication by x_i from the degree-d staircase monomials (columns,
-    sorted) to those of degree d + 1 (rows, sorted), so it acts on powers
-    held one form per column, and `growth` sums the largest row norm of
-    each, so |(mats[i] @ acc) * c[i]| summed over i stays below
-    max|acc| * max|c| * growth, partial sums included.  `_top_pairing`
-    reads the steps below the top degree through their transposes.
+    Returns `(steps, bases)`.  `bases[d]`, d <= degree, lists the degree-d
+    staircase monomials, sorted; no other code enumerates them.
+    `steps[d]`, d < degree, is `(mats, growth)`: `mats[i]` is the matrix of
+    multiplication by x_i from `bases[d]` (columns) to `bases[d + 1]`
+    (rows), so it acts on powers held one form per column, and `growth`
+    sums the largest row norm of each, so |(mats[i] @ acc) * c[i]| summed
+    over i stays below max|acc| * max|c| * growth, partial sums included.
+    `_top_pairing` reads the bases, and the steps below the top degree
+    through their transposes.
     Multiplying x^e by x_i is a plain shift while e_i + 1 < l_i; when
     e_i = l_i - 1 the product is x^rest * x_i^(l_i) with rest_i = 0, which
     relation i rewrites to -x^rest * tail_i.  Those columns are filled from
@@ -209,7 +204,13 @@ def _step_matrices(ring: RingPresentation, degree: int):
     steps = []
     for d in range(degree):
         basis = bases[d]
-        upper = _next_basis(basis, ell)
+        # shifts[i][r]: x_i * x^e for column r, or None where relation i
+        # rewrites it; its monomials are the next degree's basis.
+        shifts = [
+            [e[:i] + (e[i] + 1,) + e[i + 1 :] if e[i] + 1 < ell[i] else None for e in basis]
+            for i in range(k)
+        ]
+        upper = sorted({e for row in shifts for e in row if e is not None})
         index = {e: j for j, e in enumerate(upper)}
         mats = np.zeros((k, len(upper), len(basis)))
         bases.append(upper)
@@ -218,11 +219,11 @@ def _step_matrices(ring: RingPresentation, degree: int):
         norms.append([0] * k)
         for i in reversed(range(k)):
             reduced = []
-            for r, e in enumerate(basis):
-                if e[i] + 1 < ell[i]:
-                    mats[i, index[e[:i] + (e[i] + 1,) + e[i + 1 :]], r] = 1
-                else:
+            for r, e in enumerate(shifts[i]):
+                if e is None:
                     reduced.append(r)
+                else:
+                    mats[i, index[e], r] = 1
             if groups[i] and reduced:
                 rests = [basis[r][:i] + (0,) + basis[r][i + 1 :] for r in reduced]
                 block = tail_columns(i, rests, d)
@@ -231,7 +232,7 @@ def _step_matrices(ring: RingPresentation, degree: int):
                 mats[i][:, reduced] = block
             norms[d][i] = int(np.abs(mats[i]).sum(axis=1).max(initial=0))
         steps.append((mats, sum(norms[d])))
-    return steps
+    return steps, bases
 
 
 def _normal_form_columns(ring: RingPresentation, i: int, rests, index) -> np.ndarray:
@@ -280,9 +281,9 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     forms = np.asarray(vectors)  # no copy when `vectors` is already an array
     if not len(forms):
         return []
-    steps = _step_matrices(ring, top)
+    steps, bases = _step_matrices(ring, top)
     half = (top + 1) // 2
-    pairing, weight = _top_pairing(ring, steps, half)
+    pairing, weight = _top_pairing(steps, bases, half)
     columns = np.ascontiguousarray(forms.T)
     minp = np.full(len(forms), top, dtype=np.int64)
     for start in range(0, len(forms), _TABLE_BLOCK):
@@ -308,12 +309,12 @@ def _nilpotency_table(ring: RingPresentation, vectors) -> list[int]:
     return minp.tolist()
 
 
-def _top_pairing(ring: RingPresentation, steps, half: int):
+def _top_pairing(steps, bases, half: int):
     """G^T and sum|G|, where G[u, v] is the coefficient of x^(l - 1) in x^u * x^v.
 
-    u runs over the degree-`half` staircase monomials and v over those of
-    degree top - half, both sorted, so alpha^top = (alpha^half)^T G
-    alpha^(top - half) for any form.  Column s of the degree-m array is the
+    u runs over `bases[half]` and v over `bases[top - half]`, both from
+    `_step_matrices`, so alpha^top = (alpha^half)^T G alpha^(top - half)
+    for any form.  Column s of the degree-m array is the
     map v -> coefficient of x^(l - 1) in x^s * v on the degree top - m
     basis; it starts as [[1]] at m = 0, and x^t = x_i * x^(t - e_i), i the
     first generator of t, gives column t from column t - e_i and the
@@ -323,20 +324,18 @@ def _top_pairing(ring: RingPresentation, steps, half: int):
     entry of G that float64 does not hold exactly raises InternalError
     instead of being rounded.
     """
-    ell, top = ring.staircase, len(steps)
-    basis, acc = [(0,) * ring.k], np.ones((1, 1))
+    top, acc = len(steps), np.ones((1, 1))
     for m in range(1, half + 1):
-        upper = _next_basis(basis, ell)
-        index = {e: r for r, e in enumerate(basis)}
+        upper = bases[m]
+        index = {e: r for r, e in enumerate(bases[m - 1])}
         first = [next(i for i, c in enumerate(t) if c) for t in upper]
         parent = [index[t[:i] + (t[i] - 1,) + t[i + 1 :]] for t, i in zip(upper, first)]
-        onehot = np.zeros((ring.k, len(upper)), dtype=np.int64)
-        onehot[first, np.arange(len(upper))] = 1
         mats = steps[top - m][0]
+        onehot = np.zeros((len(mats), len(upper)), dtype=np.int64)
+        onehot[first, np.arange(len(upper))] = 1
         # The row norms of the transposes are the column norms of `mats`.
         growth = int(np.abs(mats).sum(axis=1).max(axis=1).sum())
         acc = _advance(acc[:, parent], mats.transpose(0, 2, 1), onehot, growth)
-        basis = upper
     if acc.dtype == object:
         for c in acc.flat:
             if float(c) != c:
@@ -587,7 +586,7 @@ def _gl_witness(
     candidates = _candidate_array(k, bound)
     # sp2's relations are products of linear forms, so its steps are graded;
     # their entries are small (at most 30 over every class ring with n <= 9).
-    steps = _step_matrices(sp2, max(len(facs) for facs in sp1.factors))
+    steps, _ = _step_matrices(sp2, max(len(facs) for facs in sp1.factors))
     rows: list[tuple[int, ...] | None] = [None] * k
 
     def place(i: int):

@@ -149,7 +149,7 @@ class Dissection:
     diagonals: tuple[Edge, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         diags = sorted({(int(i), int(j)) for i, j in self.diagonals})
         object.__setattr__(self, "diagonals", tuple(diags))
@@ -378,16 +378,16 @@ def enumerate_trees(n_leaves: int) -> list[SchroederTree]:
     compositions in lexicographic order, and child subtrees vary recursively
     in the same order, leftmost child slowest.
     """
-    if not isinstance(n_leaves, int) or n_leaves < 1:
+    if isinstance(n_leaves, bool) or not isinstance(n_leaves, int) or n_leaves < 1:
         raise ValueError(f"n_leaves must be a positive integer, got {n_leaves!r}")
     return [SchroederTree(s) for s in _shapes(n_leaves)]
 
 
 def _check_slice(n: int, k: int | None) -> None:
     """Raise ValueError unless n >= 1 and k, if given, is in 1..n."""
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if k is not None and not 1 <= k <= n:
+    if k is not None and (isinstance(k, bool) or not 1 <= k <= n):
         raise ValueError(f"k must be in 1..{n}, got {k}")
 
 
@@ -622,7 +622,7 @@ def riordan_table(n_max: int) -> RiordanTable:
     t_n drops that term.  Every intermediate stays an integer polynomial and
     non-integrality is a hard failure.
     """
-    if not isinstance(n_max, int) or n_max < 1:
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     polys: dict[int, list[int]] = {1: [1]}
     star: dict[int, list[int]] = {1: [1]}

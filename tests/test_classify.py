@@ -48,6 +48,7 @@ from schroder.errors import InternalError
 from schroder.polyring import (
     IntPolynomial,
     RingPresentation,
+    hilbert_series,
     min_vanishing_power,
     normal_form,
 )
@@ -97,6 +98,17 @@ def test_class_counts_match_recurrence():
     assert count_classes(5) == table.total(6)
     assert count_classes(6, 3) == table.s(7, 3)
     assert count_classes(1) == 1
+
+
+def test_class_count_disagreeing_with_recurrence_is_internal_error(monkeypatch):
+    # One class dropped from the generated ones: the count for its number
+    # of cells no longer matches the recurrence table.
+    real = classify._classes
+    monkeypatch.setattr(classify, "_classes", lambda n, k=None: real(n, k)[1:])
+    first = real(5)[0][0]
+    with pytest.raises(InternalError) as info:
+        count_classes(5)
+    assert str(info.value) == f"code count for n=5, k={first} disagrees with the recurrence"
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -319,7 +331,7 @@ def powers_of(form, ring, count):
     """alpha, ..., alpha^count of one form through `_advance`, once from a
     float64 alpha^0 and once from a Python-int one, which keeps every step
     on Python ints."""
-    steps = _step_matrices(ring, count)
+    steps, _ = _step_matrices(ring, count)
     coeffs = np.array(form, dtype=np.int64)[:, None]
 
     def run(start):
@@ -425,16 +437,16 @@ def test_nilpotency_table_blocks_match_one_pass(monkeypatch):
             cases.append((ring, _primitive_array(ring.k, 1)))
     assert len(cases) == 53
     monkeypatch.setattr(classify, "_TABLE_BLOCK", len(_primitive_array(5, 1)))
-    # Each ring's pairing is built once, here, so that every `_advance`
-    # recorded below is a step of the table.
-    top_pairing, pairings = classify._top_pairing, {}
+    # The pairing runs on the unrecorded `_advance`, so that every
+    # `_advance` recorded below is a step of the table.
+    top_pairing, advance = classify._top_pairing, classify._advance
 
-    def built_once(ring, steps, half):
-        if id(ring) not in pairings:
-            pairings[id(ring)] = top_pairing(ring, steps, half)
-        return pairings[id(ring)]
+    def unrecorded(steps, bases, half):
+        with monkeypatch.context() as patch:
+            patch.setattr(classify, "_advance", advance)
+            return top_pairing(steps, bases, half)
 
-    monkeypatch.setattr(classify, "_top_pairing", built_once)
+    monkeypatch.setattr(classify, "_top_pairing", unrecorded)
     one_pass = [_nilpotency_table(ring, forms) for ring, forms in cases]
     for (ring, forms), table in zip(cases, one_pass):
         top = sum(ring.staircase) - ring.k
@@ -516,8 +528,12 @@ def test_step_matrices_match_normal_form():
             rings.append(schroeder_presentation(ThreeCellTree(chained, degrees).tree()))
     for ring in rings:
         top = sum(ring.staircase) - ring.k
-        got, want = _step_matrices(ring, top), normal_form_steps(ring, top)
+        (got, bases), want = _step_matrices(ring, top), normal_form_steps(ring, top)
         assert len(got) == len(want) == top
+        # The bases are every staircase monomial, sorted, degree by degree.
+        monomials = list(product(*(range(l) for l in ring.staircase)))
+        assert bases == [sorted(e for e in monomials if sum(e) == d) for d in range(top + 1)]
+        assert tuple(len(b) for b in bases) == hilbert_series(ring)
         for (mats, growth), oracle in zip(got, want):
             # The oracle maps rows to columns; the steps act on columns.
             for m, o in zip(mats, oracle):
@@ -575,7 +591,7 @@ def test_step_matrices_reduce_wide_tree_columns_by_normal_form(monkeypatch):
     assert ring.staircase == (10, 10)
     calls = counting_normal_form(monkeypatch)
     top = sum(ring.staircase) - ring.k
-    got, want = _step_matrices(ring, top), normal_form_steps(ring, top)
+    (got, _), want = _step_matrices(ring, top), normal_form_steps(ring, top)
     assert calls
     assert len(got) == len(want) == top
     for (mats, growth), oracle in zip(got, want):
@@ -664,7 +680,7 @@ WIDE_PAIRING = RingPresentation(
 
 
 def test_nilpotency_table_refuses_wide_pairing_entries():
-    steps = _step_matrices(WIDE_PAIRING, 4)
+    steps, _ = _step_matrices(WIDE_PAIRING, 4)
     assert max(int(np.abs(mats).max()) for mats, _ in steps) == H
     assert [min_vanishing_power(v, 5, WIDE_PAIRING) for v in [(1, 0, 0, 0), (1, 1, 0, 0)]] == [3, 5]
     with pytest.raises(InternalError, match=f"pairing entry {H**2} is not exact in float64"):
@@ -700,10 +716,10 @@ def test_top_pairing_matches_normal_form():
     rings += [ZERO_TOP, UNIT_STAIRCASE]
     for ring in rings:
         top = sum(ring.staircase) - ring.k
-        steps = _step_matrices(ring, top)
+        steps, bases = _step_matrices(ring, top)
         # Every split, not only the one the table uses, half = ceil(top / 2).
         for half in range(top + 1):
-            pairing, weight = classify._top_pairing(ring, steps, half)
+            pairing, weight = classify._top_pairing(steps, bases, half)
             oracle = pairing_oracle(ring, half)
             assert np.array_equal(pairing, oracle.T)
             assert weight == np.abs(oracle).sum()

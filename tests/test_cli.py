@@ -588,6 +588,18 @@ def test_enumerate_record_failing_its_check_is_exit_four(capsys, monkeypatch):
         combinatorics.enumerate_dissections(4)
     assert str(info.value) == message
 
+
+def test_enumerate_count_disagreeing_with_closed_form_is_exit_four(capsys, monkeypatch):
+    # One record skipped: the count no longer matches the closed form.
+    real = cli._dissection_records
+    monkeypatch.setattr(cli, "_dissection_records", lambda n, k: list(real(n, k))[1:])
+    code, out, err = run(capsys, "enumerate", "--n", "4")
+    assert code == 4
+    # 44 of the 45 records, and no count trailer.
+    assert len(out.splitlines()) == 44 and '"count"' not in out
+    assert err == "internal error: enumeration count disagrees with the closed form\n"
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "enumerate", "--n", "5")
     second = run(capsys, "enumerate", "--n", "5")

@@ -25,7 +25,7 @@ from schroder.combinatorics import (
     tree_to_dissection,
 )
 from schroder.errors import InternalError
-from schroder.fan import build_fan_direct
+from schroder.fan import Fan, build_fan_direct
 from schroder.polyring import IntPolynomial, RingPresentation, normal_form
 
 RUNNING = Dissection(8, ((0, 3), (0, 7), (3, 7)))
@@ -284,6 +284,15 @@ def test_eliminate_checks_pin_their_messages(change, message):
     with pytest.raises(InternalError) as info:
         eliminate(replace(dj, **change(dj)), RUNNING_TREE)
     assert str(info.value) == message
+
+
+def test_dj_presentation_refuses_co_omission_classes_that_overlap():
+    # The one cone {1} omits rays 0 and 2 together, but neither 0 and 1 nor
+    # 1 and 2: ray 1 falls in the class of ray 0 and in that of ray 2.
+    fan = Fan(2, ((0, 1), (1, 2), (0, 2)), ((1, 0), (0, 1), (-1, -1)), frozenset({0b010}))
+    with pytest.raises(InternalError) as info:
+        dj_presentation(fan)
+    assert str(info.value) == "co-omission classes do not partition the rays"
 
 
 def test_presentation_metadata_length_checked():

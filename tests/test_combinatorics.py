@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from schroder.classify import count_classes
+from schroder.classify import count_classes, verify_theorem1
 from schroder.combinatorics import (
     Dissection,
     SchroederTree,
@@ -191,6 +191,26 @@ def test_dissection_validation():
                 check(3, diagonals)
     with pytest.raises(ValueError):
         Dissection(0, ())
+
+
+def test_bool_is_not_a_positive_integer():
+    # bool is a subclass of int, so each call below took True as 1, and
+    # Dissection(True, ()) wrote "n": true, which from_json refuses.
+    calls = [
+        (lambda: Dissection(True, ()), "n must be a positive integer, got True"),
+        (lambda: enumerate_dissections(True), "n must be a positive integer, got True"),
+        (lambda: enumerate_dissections(3, True), "k must be in 1..3, got True"),
+        (lambda: enumerate_trees(True), "n_leaves must be a positive integer, got True"),
+        (lambda: riordan_table(True), "n_max must be a positive integer, got True"),
+        (lambda: count_classes(True), "n must be a positive integer, got True"),
+        (lambda: verify_theorem1(True, True), "n must be a positive integer, got True"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match="expected an integer, got True"):
+        Dissection.from_json({"n": True, "diagonals": []})
 
 
 def test_crossing_names_the_first_pair():

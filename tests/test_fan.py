@@ -238,6 +238,15 @@ def test_fan_validation():
         is_smooth(Fan(2, ((0, 1), (1, 2)), ((1, 0), (0, 1)), frozenset({mask({0})})))
 
 
+def test_subdivision_refuses_a_face_that_is_not_a_cone():
+    # A repeated diagonal finds its face already split by its first copy.
+    d = Dissection(3, ((1, 3),))
+    object.__setattr__(d, "diagonals", ((1, 3), (1, 3)))
+    with pytest.raises(InternalError) as info:
+        build_fan_subdivision(d)
+    assert str(info.value) == "face for diagonal (1, 3) is not a cone"
+
+
 def test_collections_are_the_cells():
     edges = edge_order(RUNNING)
     colls = primitive_collections(RUNNING)

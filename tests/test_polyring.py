@@ -69,6 +69,17 @@ def test_as_text():
     assert (x**2 - y).as_text() == "x0^2 -x1"
     assert (x * y * 2 + 1).as_text(["u", "v"]) == "+2*u*v +1"[1:]
     assert IntPolynomial.zero(2).as_text() == "0"
+    assert repr(x**2 - y) == "IntPolynomial('x0^2 -x1')"
+
+
+def test_foreign_operands_are_not_implemented():
+    x = xvar(0)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for a, b in [(x, 1.5), (1.5, x)]:
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert (x == "x0") is False
+    assert (x != "x0") is True
 
 
 def test_polynomial_json_roundtrip():
