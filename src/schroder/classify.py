@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -372,6 +372,23 @@ def _on_tier(x, y, scale, *rest):
     return [a.astype(dtype, copy=False) for a in (x, y, *rest)]
 
 
+def _finite(step):
+    """`step` with an inf or NaN made by its float products raising
+    InternalError: a NaN is nonzero to `any` and `!= 0`, so it would keep
+    a form alive and give a wrong table."""
+
+    @wraps(step)
+    def checked(*args):
+        try:
+            with np.errstate(invalid="raise", over="raise"):
+                return step(*args)
+        except FloatingPointError as exc:
+            raise InternalError(f"{step.__name__} made a non-finite value: {exc}") from None
+
+    return checked
+
+
+@_finite
 def _top_power(high, low, pairing, weight):
     """The coefficient of x^(l - 1) in alpha^top, exactly, for each column
     of `high` (alpha^half) and `low` (alpha^(top - half)) of the same forms.
@@ -385,6 +402,7 @@ def _top_power(high, low, pairing, weight):
     return ((pairing @ high) * low).sum(axis=0)
 
 
+@_finite
 def _advance(acc, mats, coeffs, growth):
     """sum_i (mats[i] @ acc) * coeffs[i], exactly, one product per generator.
 

@@ -384,10 +384,10 @@ def enumerate_trees(n_leaves: int) -> list[SchroederTree]:
 
 
 def _check_slice(n: int, k: int | None) -> None:
-    """Raise ValueError unless n >= 1 and k, if given, is in 1..n."""
+    """Raise ValueError unless n is an int >= 1 and k, if given, an int in 1..n."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if k is not None and (isinstance(k, bool) or not 1 <= k <= n):
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n):
         raise ValueError(f"k must be in 1..{n}, got {k}")
 
 

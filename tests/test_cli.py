@@ -10,10 +10,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import schroder
+import schroder.classify as classify
 import schroder.cli as cli
 import schroder.combinatorics as combinatorics
 from schroder.classify import verify_theorem1
@@ -564,6 +566,25 @@ def test_internal_error_is_exit_four(capsys, monkeypatch, tmp_path):
     assert not out
     assert err == "internal error: self-check failed\n"
     assert "Traceback" not in err
+
+
+def test_non_finite_step_is_exit_four(capsys, monkeypatch):
+    # A first step matrix of infs makes inf * 0 = NaN in `_advance`.  A NaN
+    # is nonzero to the table, so unguarded it would keep forms alive and
+    # print a wrong profile with exit 0.
+    real = classify._step_matrices
+
+    def poisoned(ring, degree):
+        ((mats, growth), *rest), bases = real(ring, degree)
+        return [(np.full(mats.shape, np.inf), growth), *rest], bases
+
+    monkeypatch.setattr(classify, "_step_matrices", poisoned)
+    with pytest.raises(InternalError, match="_advance made a non-finite value"):
+        classify.fingerprint(Dissection(3, ((1, 3),)))
+    code, out, err = run(capsys, "classify", "--n", "3", "--k", "2")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: _advance made a non-finite value: invalid value")
+    assert err.count("\n") == 1
 
 
 def test_enumerate_record_failing_its_check_is_exit_four(capsys, monkeypatch):

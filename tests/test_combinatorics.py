@@ -338,6 +338,13 @@ def test_enumerate_rejects_bad_arguments():
         class_trees(3, 0)
     with pytest.raises(ValueError, match="k must be in 1..3, got 4"):
         count_classes(3, 4)
+    # A k that is not an int is refused too, not truncated or compared.
+    with pytest.raises(ValueError, match="k must be in 1..3, got 2.0"):
+        class_trees(3, 2.0)
+    with pytest.raises(ValueError, match="k must be in 1..3, got 1.5"):
+        enumerate_dissections(3, 1.5)
+    with pytest.raises(ValueError, match="k must be in 1..3, got 1.5"):
+        count_classes(3, 1.5)
 
 
 def test_json_roundtrips():
